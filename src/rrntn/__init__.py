@@ -18,8 +18,8 @@ from .corpus import (
     encode,
 )
 from .evaluation import capacity_report, param_label, perplexity, run_k_sweep
-from .linalg import Rng, clip_by_global_norm, dropout_mask, matvec, sample_gaussian, \
-    sample_uniform, softmax
+from .linalg import Rng, clip_by_global_norm, dropout_mask, sample_gaussian, sample_uniform, \
+    softmax
 from .mapping import MappingPolicy, map_rank_min, map_rank_mod, slice_histogram
 from .models import (
     DivergenceError,
@@ -39,7 +39,7 @@ __all__ = [
     "EncodedCorpus", "EncodedSplit", "SequenceChunk", "Vocabulary",
     "build_vocab", "chunk_sentences", "chunk_stream", "encode",
     "capacity_report", "param_label", "perplexity", "run_k_sweep",
-    "Rng", "clip_by_global_norm", "dropout_mask", "matvec",
+    "Rng", "clip_by_global_norm", "dropout_mask",
     "sample_gaussian", "sample_uniform", "softmax",
     "MappingPolicy", "map_rank_min", "map_rank_mod", "slice_histogram",
     "DivergenceError", "InitScheme", "ModelSpec", "backward_chunk",

@@ -43,7 +43,8 @@ from .evaluation import (
     run_k_sweep,
 )
 from .linalg import Rng
-from .models import DivergenceError, InitScheme, ModelSpec, param_shapes
+from .mapping import POLICY_NAMES
+from .models import FAMILIES, DivergenceError, InitScheme, ModelSpec, param_shapes
 from .training import TrainConfig, fit, grad_check
 
 _CKPT_MAGIC = b"RRNTCKPT"
@@ -454,12 +455,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=("rrntn", "mrnn", "gru", "lstm"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--v", type=int, required=True, help="vocabulary size")
     p.add_argument("--hidden", type=int, required=True)
     p.add_argument("--embed", type=int, default=None)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--policy", default="f", choices=("f", "fmod", "identity"))
+    p.add_argument("--policy", default="f", choices=POLICY_NAMES)
     p.add_argument("--factor", type=int, default=100)
 
 

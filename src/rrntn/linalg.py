@@ -65,15 +65,6 @@ class Rng:
         return Rng(int(key[0]))
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with shape validation."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Probabilities along the last axis, computed with max-subtraction."""
     z = np.asarray(z, dtype=np.float64)

@@ -19,6 +19,11 @@ Conventions:
 All arithmetic is float64. Gradients are computed by truncated
 backpropagation through time over one chunk, exact with respect to the
 chunk's summed loss.
+
+Every family is one row of the cell table `_CELLS` (its step, backward
+step, parameter shapes, count formula and state arity), and every sliced
+recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
+with the slice s chosen per word, `_sliced_backward` scatters its gradients.
 """
 
 from __future__ import annotations
@@ -26,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .corpus import SequenceChunk
 from .linalg import Rng, dropout_mask, sample_gaussian, sample_uniform, softmax
-from .mapping import MappingPolicy, slice_assignments, slice_for_rank
+from .mapping import MappingPolicy, slice_assignments
 
-FAMILIES = ("rrntn", "mrnn", "gru", "lstm")
 GATED = ("gru", "lstm")
 
 
@@ -112,36 +117,8 @@ class InitScheme:
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Trainable arrays in their canonical (checkpoint) order."""
-    v, e, h, k = spec.v, spec.e, spec.h, spec.k
-    shapes: dict[str, tuple[int, ...]] = {"w_emb": (e, v)}
-    if spec.family == "rrntn":
-        shapes["u_slices"] = (k, h, h)
-        shapes["b_slices"] = (k, h)
-    elif spec.family == "mrnn":
-        f = spec.factor
-        shapes["u_left"] = (h, f)
-        shapes["u_right"] = (f, h)
-        shapes["v_factors"] = (f, v)
-        shapes["b_h"] = (h,)
-    elif spec.family == "gru":
-        for gate in ("reset", "update"):
-            shapes[f"w_{gate}"] = (h, e)
-            shapes[f"u_{gate}"] = (h, h)
-            shapes[f"b_{gate}"] = (h,)
-        shapes["w_cand"] = (h, e)
-        shapes["u_cand_slices"] = (k, h, h)
-        shapes["b_cand_slices"] = (k, h)
-    else:  # lstm
-        for gate in ("forget", "input", "outgate"):
-            shapes[f"w_{gate}"] = (h, e)
-            shapes[f"u_{gate}"] = (h, h)
-            shapes[f"b_{gate}"] = (h,)
-        shapes["w_cand"] = (h, e)
-        shapes["u_cand_slices"] = (k, h, h)
-        shapes["b_cand_slices"] = (k, h)
-    shapes["w_out"] = (v, h)
-    shapes["b_out"] = (v,)
-    return shapes
+    return {"w_emb": (spec.e, spec.v), **_CELLS[spec.family].shapes(spec),
+            "w_out": (spec.v, spec.h), "b_out": (spec.v,)}
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -151,16 +128,8 @@ def param_count(spec: ModelSpec) -> int:
 
 def param_count_formula(spec: ModelSpec) -> str:
     """The closed form behind param_count, printed alongside every count."""
-    v, e, h, k = spec.v, spec.e, spec.h, spec.k
-    if spec.family == "rrntn":
-        return f"2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})"
-    if spec.family == "mrnn":
-        return f"2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={spec.factor})"
-    gates = 2 if spec.family == "gru" else 3
-    return (
-        f"E*V + {gates + 1}*H*E + {gates}*(H^2 + H) + K*(H^2 + H) + V*H + V"
-        f"  (V={v}, E={e}, H={h}, K={k})"
-    )
+    return _CELLS[spec.family].formula.format(v=spec.v, e=spec.e, h=spec.h, k=spec.k,
+                                              f=spec.factor)
 
 
 def init_params(spec: ModelSpec, init: InitScheme, rng: Rng) -> dict[str, np.ndarray]:
@@ -178,9 +147,7 @@ def init_params(spec: ModelSpec, init: InitScheme, rng: Rng) -> dict[str, np.nda
 
 
 def zero_state(spec: ModelSpec, batch: int) -> tuple[np.ndarray, ...]:
-    if spec.family == "lstm":
-        return np.zeros((batch, spec.h)), np.zeros((batch, spec.h))
-    return (np.zeros((batch, spec.h)),)
+    return tuple(np.zeros((batch, spec.h)) for _ in range(_CELLS[spec.family].arity))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -192,90 +159,97 @@ def _slice_table(spec: ModelSpec) -> np.ndarray:
     return slice_assignments(spec.v, spec.mapping_policy())
 
 
-def _slices(spec: ModelSpec, x_ids: np.ndarray, slices: np.ndarray | None) -> np.ndarray:
-    if slices is not None:
-        return slices
-    return np.asarray(slice_for_rank(spec.mapping_policy(), x_ids + 1), dtype=np.int64)
+def _sliced_pre(u: np.ndarray, b: np.ndarray, s: np.ndarray, x: np.ndarray,
+                pre: np.ndarray) -> np.ndarray:
+    """pre + U[s] x + b[s], one dgemv per lane; lanes may select different slices.
+
+    A batched matmul over the gathered slices gives the same bits but was
+    slower than this loop at every benchmarked size.
+    """
+    rec = np.empty_like(x)
+    for i in range(x.shape[0]):
+        rec[i] = u[s[i]] @ x[i]
+    return pre + rec + b[s]
 
 
-def _slice_matvec(u_slices: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # One dgemv per lane; lanes may select different slices.
-    out = np.empty_like(x)
-    for b in range(x.shape[0]):
-        out[b] = u_slices[s[b]] @ x[b]
-    return out
+def _sliced_backward(u: np.ndarray, gu: np.ndarray, gb: np.ndarray, s: np.ndarray,
+                     d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scatter outer(d, x) into gu[s] and d into gb[s] lane by lane (repeated
+    slices accumulate); returns U[s]^T d, the gradient with respect to x."""
+    dx = np.empty_like(d)
+    for i in range(d.shape[0]):
+        gu[s[i]] += np.outer(d[i], x[i])
+        gb[s[i]] += d[i]
+        dx[i] = u[s[i]].T @ d[i]
+    return dx
 
 
-def _slice_matvec_t(u_slices: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    for b in range(x.shape[0]):
-        out[b] = u_slices[s[b]].T @ x[b]
-    return out
-
-
-def rrntn_step(params, spec, x_ids, h_prev, slices=None):
+def rrntn_step(params, spec, x_ids, state, emb_mask=None):
     """One step of the tensor recurrence: logistic(emb + U[slice] h + b[slice]).
 
     K = 1 reduces to the plain recurrent cell; K = V with the identity policy
-    is the full per-word tensor.
+    is the full per-word tensor. The simple family masks only the output
+    layer, so emb_mask is ignored.
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slices(spec, x_ids, slices)
+    s = _slice_table(spec)[x_ids]
+    (h_prev,) = state
     emb = params["w_emb"][:, x_ids].T
-    rec = _slice_matvec(params["u_slices"], s, h_prev)
-    h = _sigmoid(emb + rec + params["b_slices"][s])
-    return h, {"x": x_ids, "s": s, "h_prev": h_prev, "h": h}
+    h = _sigmoid(_sliced_pre(params["u_slices"], params["b_slices"], s, h_prev, emb))
+    return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "h": h}
 
 
-def mrnn_step(params, spec, x_ids, h_prev):
+def mrnn_step(params, spec, x_ids, state, emb_mask=None):
     """One multiplicative step: the per-word recurrence is factored as
-    U_left diag(v_word) U_right."""
+    U_left diag(v_word) U_right. emb_mask is ignored, as for rrntn_step."""
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
+    (h_prev,) = state
     emb = params["w_emb"][:, x_ids].T
     q = h_prev @ params["u_right"].T
     vx = params["v_factors"][:, x_ids].T
     r = vx * q
     h = _sigmoid(emb + r @ params["u_left"].T + params["b_h"])
-    return h, {"x": x_ids, "h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
+    return (h,), {"x": x_ids, "h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
 
 
-def gru_step(params, spec, x_ids, h_prev, emb_mask=None, slices=None):
+def gru_step(params, spec, x_ids, state, emb_mask=None):
     """One gated step; only the candidate-state recurrence is sliced.
 
     emb_mask is the dropout mask applied to the embedding output during
     training (all ones / None at evaluation time).
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slices(spec, x_ids, slices)
+    s = _slice_table(spec)[x_ids]
+    (h_prev,) = state
     x_in = params["w_emb"][:, x_ids].T
     if emb_mask is not None:
         x_in = x_in * emb_mask
     r = _sigmoid(x_in @ params["w_reset"].T + h_prev @ params["u_reset"].T + params["b_reset"])
     z = _sigmoid(x_in @ params["w_update"].T + h_prev @ params["u_update"].T + params["b_update"])
-    rh = r * h_prev
-    hh = np.tanh(x_in @ params["w_cand"].T + _slice_matvec(params["u_cand_slices"], s, rh)
-                 + params["b_cand_slices"][s])
+    hh = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, r * h_prev,
+                             x_in @ params["w_cand"].T))
     h = z * h_prev + (1.0 - z) * hh
-    return h, {"x": x_ids, "s": s, "h_prev": h_prev, "x_in": x_in,
-               "emb_mask": emb_mask, "r": r, "z": z, "hh": hh, "h": h}
+    return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "x_in": x_in,
+                  "emb_mask": emb_mask, "r": r, "z": z, "hh": hh, "h": h}
 
 
-def lstm_step(params, spec, x_ids, h_prev, c_prev, emb_mask=None, slices=None):
-    """One LSTM step; only the candidate-cell recurrence is sliced."""
+def lstm_step(params, spec, x_ids, state, emb_mask=None):
+    """One LSTM step over state (h, c); only the candidate-cell recurrence is sliced."""
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slices(spec, x_ids, slices)
+    s = _slice_table(spec)[x_ids]
+    h_prev, c_prev = state
     x_in = params["w_emb"][:, x_ids].T
     if emb_mask is not None:
         x_in = x_in * emb_mask
     f = _sigmoid(x_in @ params["w_forget"].T + h_prev @ params["u_forget"].T + params["b_forget"])
     i = _sigmoid(x_in @ params["w_input"].T + h_prev @ params["u_input"].T + params["b_input"])
     o = _sigmoid(x_in @ params["w_outgate"].T + h_prev @ params["u_outgate"].T + params["b_outgate"])
-    cc = np.tanh(x_in @ params["w_cand"].T + _slice_matvec(params["u_cand_slices"], s, h_prev)
-                 + params["b_cand_slices"][s])
+    cc = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, h_prev,
+                             x_in @ params["w_cand"].T))
     c = i * cc + f * c_prev
     h = o * np.tanh(c)
-    return h, c, {"x": x_ids, "s": s, "h_prev": h_prev, "c_prev": c_prev, "x_in": x_in,
-                  "emb_mask": emb_mask, "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
+    return (h, c), {"x": x_ids, "s": s, "h_prev": h_prev, "c_prev": c_prev, "x_in": x_in,
+                    "emb_mask": emb_mask, "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
 
 
 def output_distribution(params, h_t, dropout_mask=None):
@@ -298,21 +272,6 @@ class ForwardCache:
     probs: list = field(default_factory=list)  # per-step (B, V)
     loss_sum: float = 0.0
     token_count: int = 0
-
-    def replay_loss(self) -> float:
-        """Recompute the summed loss from the cached distributions; equals
-        loss_sum exactly because the accumulation order is identical."""
-        total = 0.0
-        b_idx = np.arange(self.inputs.shape[0])
-        for t, p in enumerate(self.probs):
-            total += float(np.sum(-np.log(p[b_idx, self.targets[:, t]])))
-        return total
-
-    def step_losses(self) -> np.ndarray:
-        b_idx = np.arange(self.inputs.shape[0])
-        return np.array([
-            np.sum(-np.log(p[b_idx, self.targets[:, t]])) for t, p in enumerate(self.probs)
-        ])
 
 
 def forward_chunk(
@@ -344,32 +303,19 @@ def forward_chunk(
     if dropping and rng is None:
         raise ValueError("train-mode dropout needs an rng")
 
-    table = _slice_table(spec)
+    step = _CELLS[spec.family].step
     cache = ForwardCache(spec=spec, inputs=chunk.inputs, targets=chunk.targets,
                          reset_before=chunk.reset_before, state_in=state_in)
     state = state_in
     b_idx = np.arange(b)
     for t in range(t_len):
         ids = chunk.inputs[:, t]
-        s = table[ids]
         emb_mask = None
         if dropping and spec.is_gated:
             emb_mask = dropout_mask(rng, b * spec.e, p_drop).reshape(b, spec.e)
-        if spec.family == "rrntn":
-            h, entry = rrntn_step(params, spec, ids, state[0], slices=s)
-            state = (h,)
-        elif spec.family == "mrnn":
-            h, entry = mrnn_step(params, spec, ids, state[0])
-            state = (h,)
-        elif spec.family == "gru":
-            h, entry = gru_step(params, spec, ids, state[0], emb_mask=emb_mask, slices=s)
-            state = (h,)
-        else:
-            h, c, entry = lstm_step(params, spec, ids, state[0], state[1],
-                                    emb_mask=emb_mask, slices=s)
-            state = (h, c)
+        state, entry = step(params, spec, ids, state, emb_mask)
         out_mask = dropout_mask(rng, b * spec.h, p_drop).reshape(b, spec.h) if dropping else None
-        p = output_distribution(params, h, out_mask)
+        p = output_distribution(params, state[0], out_mask)
         step_loss = float(np.sum(-np.log(p[b_idx, chunk.targets[:, t]])))
         if not np.isfinite(step_loss):
             raise DivergenceError(f"non-finite loss at timestep {t}", timestep=t)
@@ -389,13 +335,15 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     """Exact gradients of the chunk's summed loss, truncated at the chunk start.
 
     state_grad_in is the gradient flowing into the chunk's final state from
-    later computation; pass None (zero) for truncated training. Returns
-    (gradients, state_grad_out) where state_grad_out is the gradient with
-    respect to the chunk's incoming state. Recurrence-slice gradients only
-    accumulate into slices selected during the forward pass.
+    later computation, one (B, H) array per state array; pass None (zero)
+    for truncated training. Returns (gradients, state_grad_out) where
+    state_grad_out is the gradient with respect to the chunk's incoming
+    state. Recurrence-slice gradients only accumulate into slices selected
+    during the forward pass.
     """
     b, t_len = cache.inputs.shape
     grads = zero_gradients(spec)
+    backward = _CELLS[spec.family].backward
 
     # Output layer, vectorized across all timesteps.
     hd = np.stack([
@@ -414,49 +362,27 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
         if cache.out_masks[t] is not None:
             dh_out[t] *= cache.out_masks[t]
 
-    if state_grad_in is None:
-        dh_next = np.zeros((b, spec.h))
-        dc_next = np.zeros((b, spec.h))
-    else:
-        dh_next = state_grad_in[0].copy()
-        dc_next = state_grad_in[1].copy() if len(state_grad_in) > 1 else np.zeros((b, spec.h))
-
+    dstate = zero_state(spec, b) if state_grad_in is None else tuple(state_grad_in)
     for t in reversed(range(t_len)):
-        entry = cache.steps[t]
-        dh = dh_out[t] + dh_next
-        if spec.family == "rrntn":
-            dh_next = _rrntn_backward(params, grads, entry, dh)
-        elif spec.family == "mrnn":
-            dh_next = _mrnn_backward(params, grads, entry, dh)
-        elif spec.family == "gru":
-            dh_next = _gru_backward(params, grads, entry, dh)
-        else:
-            dh_next, dc_next = _lstm_backward(params, grads, entry, dh, dc_next)
-
-    if spec.family == "lstm":
-        return grads, (dh_next, dc_next)
-    return grads, (dh_next,)
+        dstate = backward(params, grads, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
+    return grads, dstate
 
 
 def _scatter_emb(g_emb: np.ndarray, x_ids: np.ndarray, d: np.ndarray) -> None:
     np.add.at(g_emb, (slice(None), x_ids), d.T)
 
 
-def _rrntn_backward(params, grads, entry, dh):
+def _rrntn_backward(params, grads, entry, dstate):
+    (dh,) = dstate
     h, h_prev, s, x = entry["h"], entry["h_prev"], entry["s"], entry["x"]
     dz = dh * h * (1.0 - h)
     _scatter_emb(grads["w_emb"], x, dz)
-    u = params["u_slices"]
-    gu, gb = grads["u_slices"], grads["b_slices"]
-    dh_prev = np.empty_like(dh)
-    for i in range(dz.shape[0]):
-        gu[s[i]] += np.outer(dz[i], h_prev[i])
-        gb[s[i]] += dz[i]
-        dh_prev[i] = u[s[i]].T @ dz[i]
-    return dh_prev
+    return (_sliced_backward(params["u_slices"], grads["u_slices"], grads["b_slices"],
+                             s, dz, h_prev),)
 
 
-def _mrnn_backward(params, grads, entry, dh):
+def _mrnn_backward(params, grads, entry, dstate):
+    (dh,) = dstate
     h, h_prev, q, vx, r, x = (entry["h"], entry["h_prev"], entry["q"],
                               entry["vx"], entry["r"], entry["x"])
     dz = dh * h * (1.0 - h)
@@ -467,24 +393,19 @@ def _mrnn_backward(params, grads, entry, dh):
     np.add.at(grads["v_factors"], (slice(None), x), (dr * q).T)
     dq = dr * vx
     grads["u_right"] += dq.T @ h_prev
-    return dq @ params["u_right"]
+    return (dq @ params["u_right"],)
 
 
-def _gru_backward(params, grads, entry, dh):
+def _gru_backward(params, grads, entry, dstate):
+    (dh,) = dstate
     h_prev, x_in, r, z, hh = entry["h_prev"], entry["x_in"], entry["r"], entry["z"], entry["hh"]
     s, x, emb_mask = entry["s"], entry["x"], entry["emb_mask"]
     dz_gate = dh * (h_prev - hh) * z * (1.0 - z)
     dhh_pre = dh * (1.0 - z) * (1.0 - hh * hh)
     dh_prev = dh * z
 
-    rh = r * h_prev
-    uc = params["u_cand_slices"]
-    guc, gbc = grads["u_cand_slices"], grads["b_cand_slices"]
-    d_rh = np.empty_like(dh)
-    for i in range(dh.shape[0]):
-        guc[s[i]] += np.outer(dhh_pre[i], rh[i])
-        gbc[s[i]] += dhh_pre[i]
-        d_rh[i] = uc[s[i]].T @ dhh_pre[i]
+    d_rh = _sliced_backward(params["u_cand_slices"], grads["u_cand_slices"],
+                            grads["b_cand_slices"], s, dhh_pre, r * h_prev)
     dr = d_rh * h_prev
     dh_prev += d_rh * r
     dr_pre = dr * r * (1.0 - r)
@@ -502,10 +423,11 @@ def _gru_backward(params, grads, entry, dh):
     if emb_mask is not None:
         dx_in = dx_in * emb_mask
     _scatter_emb(grads["w_emb"], x, dx_in)
-    return dh_prev
+    return (dh_prev,)
 
 
-def _lstm_backward(params, grads, entry, dh, dc_next):
+def _lstm_backward(params, grads, entry, dstate):
+    dh, dc_next = dstate
     h_prev, c_prev, x_in = entry["h_prev"], entry["c_prev"], entry["x_in"]
     f, i, o, cc, c = entry["f"], entry["i"], entry["o"], entry["cc"], entry["c"]
     s, x, emb_mask = entry["s"], entry["x"], entry["emb_mask"]
@@ -518,14 +440,8 @@ def _lstm_backward(params, grads, entry, dh, dc_next):
     dcc_pre = dc * i * (1.0 - cc * cc)
     dc_prev = dc * f
 
-    uc = params["u_cand_slices"]
-    guc, gbc = grads["u_cand_slices"], grads["b_cand_slices"]
-    dh_prev = np.empty_like(dh)
-    for j in range(dh.shape[0]):
-        guc[s[j]] += np.outer(dcc_pre[j], h_prev[j])
-        gbc[s[j]] += dcc_pre[j]
-        dh_prev[j] = uc[s[j]].T @ dcc_pre[j]
-
+    dh_prev = _sliced_backward(params["u_cand_slices"], grads["u_cand_slices"],
+                               grads["b_cand_slices"], s, dcc_pre, h_prev)
     for name, dpre in (("forget", df_pre), ("input", di_pre), ("outgate", do_pre)):
         grads[f"w_{name}"] += dpre.T @ x_in
         grads[f"u_{name}"] += dpre.T @ h_prev
@@ -539,3 +455,44 @@ def _lstm_backward(params, grads, entry, dh, dc_next):
         dx_in = dx_in * emb_mask
     _scatter_emb(grads["w_emb"], x, dx_in)
     return dh_prev, dc_prev
+
+
+class _Cell(NamedTuple):
+    """One family: step(params, spec, ids, state, emb_mask) -> (state, entry),
+    backward(params, grads, entry, dstate) -> dstate, the arrays it adds
+    between w_emb and w_out in checkpoint order, its count formula, and the
+    number of (B, H) arrays in its state."""
+
+    step: Callable
+    backward: Callable
+    shapes: Callable[[ModelSpec], dict[str, tuple[int, ...]]]
+    formula: str
+    arity: int
+
+
+def _gated_shapes(gates: tuple[str, ...]):
+    def shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+        h, e, k = spec.h, spec.e, spec.k
+        out: dict[str, tuple[int, ...]] = {}
+        for gate in gates:
+            out.update({f"w_{gate}": (h, e), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
+        return {**out, "w_cand": (h, e), "u_cand_slices": (k, h, h), "b_cand_slices": (k, h)}
+    return shapes
+
+
+_CELLS = {
+    "rrntn": _Cell(rrntn_step, _rrntn_backward,
+                   lambda sp: {"u_slices": (sp.k, sp.h, sp.h), "b_slices": (sp.k, sp.h)},
+                   "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1),
+    "mrnn": _Cell(mrnn_step, _mrnn_backward,
+                  lambda sp: {"u_left": (sp.h, sp.factor), "u_right": (sp.factor, sp.h),
+                              "v_factors": (sp.factor, sp.v), "b_h": (sp.h,)},
+                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1),
+    "gru": _Cell(gru_step, _gru_backward, _gated_shapes(("reset", "update")),
+                 "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V"
+                 "  (V={v}, E={e}, H={h}, K={k})", 1),
+    "lstm": _Cell(lstm_step, _lstm_backward, _gated_shapes(("forget", "input", "outgate")),
+                  "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V"
+                  "  (V={v}, E={e}, H={h}, K={k})", 2),
+}
+FAMILIES = tuple(_CELLS)

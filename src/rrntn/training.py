@@ -90,10 +90,15 @@ class EpochMetrics:
 
 
 def sgd_apply(params, grads, lr: float) -> None:
-    """In-place step p <- p - lr * g for every array."""
+    """In-place step p <- p - lr * g for every array.
+
+    Every gradient is checked before any parameter is written, so a
+    non-finite block leaves all parameters unchanged.
+    """
     for name, g in grads.items():
         if not np.isfinite(np.sum(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
+    for name, g in grads.items():
         params[name] -= lr * g
 
 

@@ -56,33 +56,48 @@ def test_fmod_policy_gradients():
     assert report.passed, report.format()
 
 
-def test_rrntn_batched_gradients_match_finite_differences():
-    # batched lanes exercise the per-lane slice scatter
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_rrntn_batched_gradients_match_finite_differences(name):
+    # two lanes share a slice at steps 0 and 1 (ids 7 and 12 share the last
+    # slice for K < 8), dropout is on, the incoming state is carried and the
+    # objective also pulls on the outgoing state: loss + sum(g * state_out)
     from rrntn.corpus import SequenceChunk
     from rrntn.models import InitScheme, backward_chunk, forward_chunk, init_params
 
-    spec = ModelSpec("rrntn", v=12, h=5, k=3)
+    spec = CONFIGS[name]
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(11))
+    inputs = np.array([[0, 7, 3, 12], [0, 12, 5, 9]], dtype=np.int64)
+    targets = np.array([[7, 3, 12, 1], [12, 5, 9, 4]], dtype=np.int64)
+    chunk = SequenceChunk(inputs, targets, reset_before=False)
     data = Rng(12)
-    inputs = (data.uniform01(8).reshape(2, 4) * 12).astype(np.int64)
-    targets = (data.uniform01(8).reshape(2, 4) * 12).astype(np.int64)
-    chunk = SequenceChunk(inputs, targets, reset_before=True)
+    n_state = 2 if spec.family == "lstm" else 1
+    state_in = tuple(data.uniform01(2 * spec.h).reshape(2, spec.h) - 0.5 for _ in range(n_state))
+    g = tuple(data.uniform01(2 * spec.h).reshape(2, spec.h) - 0.5 for _ in range(n_state))
 
-    _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train")
-    grads, _ = backward_chunk(params, spec, cache)
+    def run():
+        # a fresh stream per call draws the same dropout masks every time
+        return forward_chunk(params, spec, chunk, state_in, mode="train",
+                             rng=Rng(13), p_drop=0.3)
+
+    def objective():
+        loss, _, _, state_out = run()
+        return loss + sum(float(np.sum(gi * si)) for gi, si in zip(g, state_out))
+
+    _, _, cache, _ = run()
+    grads, _ = backward_chunk(params, spec, cache, state_grad_in=g)
 
     eps = 1e-5
     worst = 0.0
-    for name, arr in params.items():
+    for block, arr in params.items():
         flat = arr.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up, _, _, _ = forward_chunk(params, spec, chunk, mode="train")
+            up = objective()
             flat[idx] = orig - eps
-            down, _, _, _ = forward_chunk(params, spec, chunk, mode="train")
+            down = objective()
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
-            a = grads[name].reshape(-1)[idx]
+            a = grads[block].reshape(-1)[idx]
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-3))
     assert worst < 1e-4

@@ -8,30 +8,10 @@ from rrntn.linalg import (
     clip_by_global_norm,
     dropout_mask,
     global_norm,
-    matvec,
     sample_gaussian,
     sample_uniform,
     softmax,
 )
-
-
-def test_matvec_identity():
-    v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_zero():
-    assert np.array_equal(matvec(np.zeros((2, 3)), np.ones(3)), np.zeros(2))
-
-
-def test_matvec_hand():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matvec(m, np.array([1.0, 1.0])), np.array([3.0, 7.0]))
-
-
-def test_matvec_shape_error():
-    with pytest.raises(ValueError):
-        matvec(np.zeros((2, 3)), np.zeros(2))
 
 
 def test_softmax_uniform():

@@ -121,7 +121,7 @@ def test_param_count_formula_mentions_dims():
 def test_rrntn_step_zero_params_is_half():
     spec = ModelSpec("rrntn", v=5, h=3, k=2)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    h, _ = rrntn_step(params, spec, np.array([2]), np.zeros((1, 3)))
+    (h,), _ = rrntn_step(params, spec, np.array([2]), (np.zeros((1, 3)),))
     assert np.array_equal(h, np.full((1, 3), 0.5))
 
 
@@ -136,13 +136,13 @@ def test_rrntn_step_hand_oracle():
     params["b_slices"][1] = [0.2, 0.1]
     h_prev = np.array([[0.3, -0.4]])
 
-    h0, entry0 = rrntn_step(params, spec, np.array([0]), h_prev)
+    (h0,), entry0 = rrntn_step(params, spec, np.array([0]), (h_prev,))
     assert entry0["s"][0] == 0
     expect0 = [sigmoid(0.1 + (0.5 * 0.3 + -0.3 * -0.4) + 0.05),
                sigmoid(0.0 + (0.2 * 0.3 + 0.1 * -0.4) - 0.05)]
     np.testing.assert_allclose(h0[0], expect0, rtol=1e-14)
 
-    h2, entry2 = rrntn_step(params, spec, np.array([2]), h_prev)
+    (h2,), entry2 = rrntn_step(params, spec, np.array([2]), (h_prev,))
     assert entry2["s"][0] == 1
     expect2 = [sigmoid(0.3 + (-0.1 * 0.3 + 0.4 * -0.4) + 0.2),
                sigmoid(-0.1 + (0.3 * 0.3 + -0.2 * -0.4) + 0.1)]
@@ -153,7 +153,7 @@ def test_rrntn_step_hand_oracle():
 def test_mrnn_step_zero_params_is_half():
     spec = ModelSpec("mrnn", v=4, h=2, factor=3)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    h, _ = mrnn_step(params, spec, np.array([1]), np.zeros((1, 2)))
+    (h,), _ = mrnn_step(params, spec, np.array([1]), (np.zeros((1, 2)),))
     assert np.array_equal(h, np.full((1, 2), 0.5))
 
 
@@ -167,7 +167,7 @@ def test_mrnn_step_scalar_factor_oracle():
     params["v_factors"][:] = [[1.5, -2.0, 0.5]]
     params["b_h"][:] = [0.01, -0.02]
     h_prev = np.array([[0.3, -0.2]])
-    h, _ = mrnn_step(params, spec, np.array([1]), h_prev)
+    (h,), _ = mrnn_step(params, spec, np.array([1]), (h_prev,))
     q = 0.6 * 0.3 + -0.7 * -0.2
     r = -2.0 * q
     expect = [sigmoid(-0.1 + 0.4 * r + 0.01), sigmoid(0.1 + -0.5 * r - 0.02)]
@@ -190,8 +190,8 @@ def test_mrnn_identity_factorization_reduces_to_shared_matrix():
     rparams["u_slices"][0] = np.eye(h_dim)
 
     h_prev = Rng(2).uniform01(h_dim).reshape(1, h_dim)
-    hm, _ = mrnn_step(params, spec, np.array([2]), h_prev)
-    hr, _ = rrntn_step(rparams, rspec, np.array([2]), h_prev)
+    (hm,), _ = mrnn_step(params, spec, np.array([2]), (h_prev,))
+    (hr,), _ = rrntn_step(rparams, rspec, np.array([2]), (h_prev,))
     assert np.array_equal(hm, hr)
 
 
@@ -199,7 +199,7 @@ def test_gru_step_zero_params_halves_state():
     spec = ModelSpec("gru", v=5, h=3, e=3, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
     h0 = np.array([[0.4, -0.8, 0.2]])
-    h, _ = gru_step(params, spec, np.array([1]), h0)
+    (h,), _ = gru_step(params, spec, np.array([1]), (h0,))
     np.testing.assert_allclose(h, 0.5 * h0, rtol=0, atol=0)
 
 
@@ -228,14 +228,14 @@ def test_gru_step_hand_oracle():
           math.tanh(-0.3 * x + 0.05 * rh[0] + 0.35 * rh[1] - 0.03)]
     expect = [z[0] * 0.6 + (1 - z[0]) * hh[0], z[1] * -0.4 + (1 - z[1]) * hh[1]]
 
-    h, _ = gru_step(params, spec, np.array([0]), np.array([h_prev]))
+    (h,), _ = gru_step(params, spec, np.array([0]), (np.array([h_prev]),))
     np.testing.assert_allclose(h[0], expect, rtol=1e-14)
 
 
 def test_lstm_step_zero_params_zero_state():
     spec = ModelSpec("lstm", v=5, h=3, e=3, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    h, c, _ = lstm_step(params, spec, np.array([1]), np.zeros((1, 3)), np.zeros((1, 3)))
+    (h, c), _ = lstm_step(params, spec, np.array([1]), (np.zeros((1, 3)), np.zeros((1, 3))))
     assert np.array_equal(c, np.zeros((1, 3)))
     assert np.array_equal(h, np.zeros((1, 3)))
 
@@ -265,7 +265,7 @@ def test_lstm_step_hand_oracle():
     c_exp = i * cc + f * cp
     h_exp = o * math.tanh(c_exp)
 
-    h, c, _ = lstm_step(params, spec, np.array([0]), np.array([[hp]]), np.array([[cp]]))
+    (h, c), _ = lstm_step(params, spec, np.array([0]), (np.array([[hp]]), np.array([[cp]])))
     np.testing.assert_allclose(c[0, 0], c_exp, rtol=1e-14)
     np.testing.assert_allclose(h[0, 0], h_exp, rtol=1e-14)
 
@@ -393,7 +393,11 @@ def test_cache_replay_matches_loss_exactly():
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
     ids = (Rng(2).uniform01(7) * 10).astype(np.int64)
     loss, _, cache, _ = forward_chunk(params, spec, _chunk(ids[:-1], ids[1:]))
-    assert cache.replay_loss() == loss
+    b_idx = np.arange(cache.inputs.shape[0])
+    replay = 0.0
+    for t, p in enumerate(cache.probs):
+        replay += float(np.sum(-np.log(p[b_idx, cache.targets[:, t]])))
+    assert replay == loss
 
 
 def test_gru_state_stays_bounded():
@@ -403,9 +407,8 @@ def test_gru_state_stays_bounded():
     state = (Rng(3).uniform01(6).reshape(1, 6) * 3.0,)
     bound = max(np.abs(state[0]).max(), 1.0)
     for t in range(20):
-        h, _ = gru_step(params, spec, np.array([t % 10]), state[0])
-        assert np.abs(h).max() <= bound
-        state = (h,)
+        state, _ = gru_step(params, spec, np.array([t % 10]), state)
+        assert np.abs(state[0]).max() <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ def test_sgd_raises_on_non_finite():
         sgd_apply(params, {"p": np.array([np.nan])}, lr=0.1)
 
 
+def test_sgd_non_finite_last_block_writes_nothing():
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]), "c": np.array([4.0])}
+    before = copy.deepcopy(params)
+    grads = {"a": np.array([0.5, -0.5]), "b": np.array([1.0]), "c": np.array([np.nan])}
+    with pytest.raises(DivergenceError):
+        sgd_apply(params, grads, lr=0.1)
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+
+
 # ---------------------------------------------------------------------------
 # schedule_step
 
@@ -165,7 +174,8 @@ def test_sentence_reset_isolates_sentences(tiny):
         for chunk in chunk_sentences(split, t_bptt=20):
             _, _, cache, state = forward_chunk(params, spec, chunk, state)
             if chunk.reset_before:
-                losses.append(float(cache.step_losses()[0]))
+                p = cache.probs[0]
+                losses.append(float(np.sum(-np.log(p[np.arange(p.shape[0]), chunk.targets[:, 0]]))))
         return losses
 
     split = corpus.train
