@@ -9,7 +9,7 @@ Commands:
   sweep         train one model per (policy, K) and emit a CSV
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical divergence,
-3 I/O error.
+3 I/O error or corrupt checkpoint.
 
 Config files are flat `key = value` lines; `#` starts a comment. Unknown
 keys are rejected and missing required keys are reported together.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import struct
 import sys
 from dataclasses import dataclass
@@ -317,31 +318,47 @@ class Checkpoint:
     meta: dict[str, str]
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is foreign, cut short or followed by extra bytes."""
+
+
+def _read_exact(f, n: int, path, block: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{path}: truncated {block} ({len(data)} of {n} bytes)")
+    return data
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise CheckpointError(f"{path} is not a checkpoint file")
+        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "header"))
         if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         blocks = []
-        for _ in range(2):
-            (length,) = struct.unpack("<I", f.read(4))
-            blocks.append(f.read(length).decode("utf-8"))
-        config_text, meta_text = blocks
-        meta = parse_config_text(meta_text)
-        spec = ModelSpec(
-            family=meta["family"], v=int(meta["v"]), h=int(meta["h"]),
-            e=int(meta["e"]), k=int(meta["k"]), policy=meta["policy"],
-            factor=int(meta["factor"]),
-        )
-        np_dtype = {"f64": "<f8", "f32": "<f4"}[meta["dtype"]]
+        for block in ("config block", "meta block"):
+            (length,) = struct.unpack("<I", _read_exact(f, 4, path, f"{block} header"))
+            blocks.append(_read_exact(f, length, path, block))
+        try:
+            config_text, meta_text = (b.decode("utf-8") for b in blocks)
+            meta = parse_config_text(meta_text)
+            spec = ModelSpec(
+                family=meta["family"], v=int(meta["v"]), h=int(meta["h"]),
+                e=int(meta["e"]), k=int(meta["k"]), policy=meta["policy"],
+                factor=int(meta["factor"]),
+            )
+            np_dtype = {"f64": "<f8", "f32": "<f4"}[meta["dtype"]]
+        except (KeyError, ValueError) as err:
+            raise CheckpointError(f"{path}: unreadable config or meta block ({err})") from err
         itemsize = 8 if meta["dtype"] == "f64" else 4
         params = {}
         for name, shape in param_shapes(spec).items():
-            n = int(np.prod(shape))
-            buf = f.read(n * itemsize)
+            buf = _read_exact(f, int(np.prod(shape)) * itemsize, path, f"parameter block {name}")
             params[name] = np.frombuffer(buf, dtype=np_dtype).astype(np.float64).reshape(shape)
+        extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise CheckpointError(f"{path}: {extra} trailing bytes after parameter block {name}")
     return Checkpoint(params=params, spec=spec, config_text=config_text, meta=meta)
 
 
@@ -515,11 +532,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except CheckpointError as err:
+        print(f"corrupt checkpoint: {err}", file=sys.stderr)
+        return 3
     except (UsageError, ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:
-        where = f" (epoch {err.epoch})" if err.epoch is not None else ""
+        at = [f"{what} {n}" for what, n in (("epoch", err.epoch), ("window", err.window))
+              if n is not None]
+        where = f" ({', '.join(at)})" if at else ""
         print(f"numerical divergence{where}: {err}", file=sys.stderr)
         return 2
     except OSError as err:

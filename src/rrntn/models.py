@@ -21,9 +21,11 @@ backpropagation through time over one chunk, exact with respect to the
 chunk's summed loss.
 
 Every family is one row of the cell table `_CELLS` (its step, backward
-step, parameter shapes, count formula and state arity), and every sliced
-recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
-with the slice s chosen per word, `_sliced_backward` scatters its gradients.
+step, parameter shapes, count formula, state arity and the blocks it selects
+per word, which `word_rows` turns into a window's touched rows), and every
+sliced recurrence goes through one primitive pair: `_sliced_pre` adds
+U[s] x + b[s] with the slice s chosen per word, `_sliced_backward` scatters
+its gradients.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ GATED = ("gru", "lstm")
 class DivergenceError(RuntimeError):
     """Raised when a loss or an update stops being finite."""
 
-    def __init__(self, message: str, *, timestep: int | None = None, epoch: int | None = None):
+    def __init__(self, message: str, *, timestep: int | None = None, epoch: int | None = None,
+                 window: int | None = None):
         super().__init__(message)
         self.timestep = timestep
         self.epoch = epoch
+        self.window = window
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _slice_table(spec: ModelSpec) -> np.ndarray:
     return slice_assignments(spec.v, spec.mapping_policy())
+
+
+def word_rows(spec: ModelSpec, ids: np.ndarray) -> dict[str, object]:
+    """Index of the part of each word-selected block a window can move.
+
+    A window over input ids gives nonzero gradients only to the columns of
+    w_emb (and of the other blocks the cell table selects by word) at its
+    unique ids, and only to the rows of the per-slice blocks at the slices
+    of those ids. Blocks not listed are dense; a block whose whole axis is
+    touched maps to `...`, so indexing with it is a view, not a gather.
+    """
+    words = np.unique(ids)
+    slices = np.unique(_slice_table(spec)[words])
+    index = {"word": ... if words.size == spec.v else (slice(None), words),
+             "slice": ... if slices.size == spec.k else slices}
+    return {name: index[by] for name, by in {"w_emb": "word", **_CELLS[spec.family].rows}.items()}
 
 
 def _sliced_pre(u: np.ndarray, b: np.ndarray, s: np.ndarray, x: np.ndarray,
@@ -328,7 +348,10 @@ def forward_chunk(
 
 
 def zero_gradients(spec: ModelSpec) -> dict[str, np.ndarray]:
-    return {name: np.zeros(shape) for name, shape in param_shapes(spec).items()}
+    """Zeroed accumulators for the blocks the recurrence backward adds into;
+    the output layer's gradients are assigned whole, so they get none."""
+    return {name: np.zeros(shape) for name, shape in param_shapes(spec).items()
+            if name not in ("w_out", "b_out")}
 
 
 def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None):
@@ -355,8 +378,8 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     b_idx = np.arange(b)[None, :]
     dlogits[t_idx, b_idx, cache.targets.T] -= 1.0
     flat_dl = dlogits.reshape(t_len * b, spec.v)
-    grads["w_out"] += flat_dl.T @ hd.reshape(t_len * b, spec.h)
-    grads["b_out"] += flat_dl.sum(axis=0)
+    grads["w_out"] = flat_dl.T @ hd.reshape(t_len * b, spec.h)
+    grads["b_out"] = flat_dl.sum(axis=0)
     dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
     for t in range(t_len):
         if cache.out_masks[t] is not None:
@@ -460,14 +483,16 @@ def _lstm_backward(params, grads, entry, dstate):
 class _Cell(NamedTuple):
     """One family: step(params, spec, ids, state, emb_mask) -> (state, entry),
     backward(params, grads, entry, dstate) -> dstate, the arrays it adds
-    between w_emb and w_out in checkpoint order, its count formula, and the
-    number of (B, H) arrays in its state."""
+    between w_emb and w_out in checkpoint order, its count formula, the
+    number of (B, H) arrays in its state, and which of its arrays are
+    selected per input word: by "word" column or by "slice" row."""
 
     step: Callable
     backward: Callable
     shapes: Callable[[ModelSpec], dict[str, tuple[int, ...]]]
     formula: str
     arity: int
+    rows: dict[str, str]
 
 
 def _gated_shapes(gates: tuple[str, ...]):
@@ -480,19 +505,22 @@ def _gated_shapes(gates: tuple[str, ...]):
     return shapes
 
 
+_CAND_ROWS = {"u_cand_slices": "slice", "b_cand_slices": "slice"}
 _CELLS = {
     "rrntn": _Cell(rrntn_step, _rrntn_backward,
                    lambda sp: {"u_slices": (sp.k, sp.h, sp.h), "b_slices": (sp.k, sp.h)},
-                   "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1),
+                   "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1,
+                   {"u_slices": "slice", "b_slices": "slice"}),
     "mrnn": _Cell(mrnn_step, _mrnn_backward,
                   lambda sp: {"u_left": (sp.h, sp.factor), "u_right": (sp.factor, sp.h),
                               "v_factors": (sp.factor, sp.v), "b_h": (sp.h,)},
-                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1),
+                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1,
+                  {"v_factors": "word"}),
     "gru": _Cell(gru_step, _gru_backward, _gated_shapes(("reset", "update")),
                  "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                 "  (V={v}, E={e}, H={h}, K={k})", 1),
+                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS),
     "lstm": _Cell(lstm_step, _lstm_backward, _gated_shapes(("forget", "input", "outgate")),
                   "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                  "  (V={v}, E={e}, H={h}, K={k})", 2),
+                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS),
 }
 FAMILIES = tuple(_CELLS)

@@ -30,6 +30,7 @@ from .models import (
     forward_chunk,
     init_params,
     param_shapes,
+    word_rows,
 )
 
 REGIMES = ("simple", "gated")
@@ -89,17 +90,20 @@ class EpochMetrics:
     seconds: float = 0.0
 
 
-def sgd_apply(params, grads, lr: float) -> None:
-    """In-place step p <- p - lr * g for every array.
+def sgd_apply(params, grads, lr: float, rows=None) -> None:
+    """In-place step p[idx] <- p[idx] - lr * g for every array.
 
-    Every gradient is checked before any parameter is written, so a
-    non-finite block leaves all parameters unchanged.
+    rows maps a block to the index its gradient was gathered with (see
+    models.word_rows); a block without one is updated whole. Every gradient
+    is checked before any parameter is written, so a non-finite block
+    leaves all parameters unchanged.
     """
+    rows = rows or {}
     for name, g in grads.items():
         if not np.isfinite(np.sum(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
     for name, g in grads.items():
-        params[name] -= lr * g
+        params[name][rows.get(name, ...)] -= lr * g
 
 
 def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainConfig):
@@ -135,27 +139,32 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     Training perplexity is computed from the summed training loss, dropout
     included as incurred. In the gated regime gradients are averaged over
     the batch lanes before clipping so the clip threshold and learning rate
-    keep their per-lane meaning.
+    keep their per-lane meaning. Each window's word-selected gradients are
+    gathered down to the rows its words touched (models.word_rows), so
+    averaging, clipping and the update skip the rows that are exactly zero.
     """
     t0 = time.perf_counter()
     total_loss = 0.0
     total_tokens = 0
     state = None
     try:
-        for chunk in _train_chunks(split, cfg):
+        for window, chunk in enumerate(_train_chunks(split, cfg)):
             loss, count, cache, state = forward_chunk(
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
             grads, _ = backward_chunk(params, spec, cache)
+            rows = word_rows(spec, chunk.inputs)
+            grads = {name: g[rows.get(name, ...)] for name, g in grads.items()}
             if cfg.regime == "gated" and cfg.batch > 1:
                 for g in grads.values():
                     g /= cfg.batch
             if cfg.clip_norm is not None:
                 clip_by_global_norm(grads.values(), cfg.clip_norm)
-            sgd_apply(params, grads, lr)
+            sgd_apply(params, grads, lr, rows)
             total_loss += loss
             total_tokens += count
     except DivergenceError as err:
         err.epoch = epoch
+        err.window = window
         raise
     train_ppl = float(np.exp(total_loss / total_tokens))
     return EpochMetrics(epoch=epoch, lr=lr, train_ppl=train_ppl,

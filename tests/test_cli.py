@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,29 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         cli.load_checkpoint(path)
 
 
+def _damaged_checkpoint(tmp_path, damage):
+    spec = ModelSpec("rrntn", v=9, h=3, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
+    path = tmp_path / "ck.bin"
+    cli.save_checkpoint(path, params, spec, "seed = 1\n", "00" * 32, epoch=1)
+    path.write_bytes(damage(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("damage,block", [
+    (lambda data: data[:10], "truncated header"),
+    (lambda data: data[:-3], "truncated parameter block b_out"),
+    (lambda data: data + b"\0" * 5, "5 trailing bytes after parameter block b_out"),
+    (lambda data: data.replace(b"family = rrntn", b"family = rrxtn"),
+     "unreadable config or meta block"),
+], ids=["header", "payload", "trailing", "meta"])
+def test_eval_rejects_damaged_checkpoint(tmp_path, capsys, damage, block):
+    path = _damaged_checkpoint(tmp_path, damage)
+    assert cli.main(["eval", str(path), "--split", "test"]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and block in err
+
+
 # ---------------------------------------------------------------------------
 # count-params and gradcheck
 
@@ -313,4 +338,6 @@ def test_divergence_exit_code(prepped, tmp_path, capsys):
                                      max_epochs="2", p_drop="0.0"))
     rc = cli.main(["train", str(cfgfile)])
     assert rc == 2
-    assert "divergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "divergence" in err
+    assert re.search(r"\(epoch \d+, window \d+\)", err)

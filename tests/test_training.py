@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from synth import synth_corpus
-from rrntn.corpus import EncodedSplit, chunk_sentences
+from test_gradients import CONFIGS
+from rrntn.corpus import EncodedSplit, chunk_sentences, chunk_stream
 from rrntn.linalg import Rng, clip_by_global_norm, global_norm
+from rrntn.mapping import slice_assignments
 from rrntn.models import (
     DivergenceError,
     InitScheme,
     ModelSpec,
+    backward_chunk,
     forward_chunk,
     init_params,
 )
@@ -145,22 +148,107 @@ def test_training_beats_uniform_baseline(tiny):
     assert last.train_ppl < vocab.size
 
 
+def _changed(before, after, axis):
+    # indices along `axis` where any entry differs
+    diff = before != after
+    other = tuple(a for a in range(diff.ndim) if a != axis)
+    return set(np.flatnonzero(diff.any(axis=other)).tolist())
+
+
 def test_update_sparsity_single_chunk(tiny):
-    # one simple-regime update touches only the slices of words in the chunk
+    # one simple-regime window moves only the slices and embedding columns
+    # of its own words, and every one of those
     _, corpus, spec = tiny
+    ids, b1 = corpus.train.ids, int(corpus.train.boundaries[1])
+    split = EncodedSplit(ids[: b1 + 1], np.zeros(1, dtype=np.int64))  # first sentence only
+    cfg = small_cfg(t_bptt=b1, p_drop=0.0)
     params = init_params(spec, InitScheme.gaussian(0.05), Rng(3))
     before = copy.deepcopy(params)
-    chunk = next(chunk_sentences(corpus.train, 20))
-    loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train")
-    from rrntn.models import backward_chunk
-    grads, _ = backward_chunk(params, spec, cache)
-    sgd_apply(params, grads, lr=0.1)
-    touched = set(cache.steps[0]["s"].tolist())
-    for t in range(chunk.inputs.shape[1]):
-        touched |= set(cache.steps[t]["s"].tolist())
-    for k in range(spec.k):
-        changed = not np.array_equal(before["u_slices"][k], params["u_slices"][k])
-        assert changed == (k in touched)
+    train_epoch(params, spec, cfg, split, lr=0.1, rng=Rng(2))
+    slices = slice_assignments(spec.v, spec.mapping_policy())[ids[:b1]]
+    assert 0 < len(set(slices)) < spec.k
+    # the window starts from a zero state, so step 0's recurrence matrix has
+    # no gradient; its bias does
+    assert _changed(before["u_slices"], params["u_slices"], 0) == set(slices[1:].tolist())
+    assert _changed(before["b_slices"], params["b_slices"], 0) == set(slices.tolist())
+    assert _changed(before["w_emb"], params["w_emb"], 1) == set(ids[:b1].tolist())
+
+
+def test_update_sparsity_gated_window(tiny):
+    # one LSTM window over two lanes moves only its words' candidate slices
+    # and embedding columns, and every one of those
+    _, corpus, _ = tiny
+    t_len = 6
+    ids = corpus.train.ids[: 2 * t_len + 2]  # exactly one (2, t_len) window
+    spec = ModelSpec("lstm", v=int(corpus.train.ids.max()) + 1, h=6, e=5, k=4)
+    cfg = TrainConfig.gated(seed=5, t_bptt=t_len, batch=2, lr0=0.5, p_drop=0.0,
+                            init=InitScheme.uniform(-0.1, 0.1))
+    params = init_params(spec, cfg.init, Rng(5))
+    before = copy.deepcopy(params)
+    train_epoch(params, spec, cfg, EncodedSplit(ids, np.zeros(0, dtype=np.int64)),
+                lr=cfg.lr0, rng=Rng(6))
+    inputs = ids[: 2 * t_len].reshape(2, t_len)
+    slices = slice_assignments(spec.v, spec.mapping_policy())[inputs]
+    assert 0 < len(set(slices.ravel())) < spec.k
+    # both lanes start from a zero state: no recurrence gradient at step 0
+    assert (_changed(before["u_cand_slices"], params["u_cand_slices"], 0)
+            == set(slices[:, 1:].ravel().tolist()))
+    assert (_changed(before["b_cand_slices"], params["b_cand_slices"], 0)
+            == set(slices.ravel().tolist()))
+    assert _changed(before["w_emb"], params["w_emb"], 1) == set(inputs.ravel().tolist())
+
+
+def _touched(spec, name, shape, inputs):
+    # mask of the entries a window over `inputs` may move in block `name`
+    mask = np.zeros(shape, dtype=bool)
+    if name in ("w_emb", "v_factors"):
+        mask[:, np.unique(inputs)] = True
+    elif name.endswith("_slices"):
+        mask[np.unique(slice_assignments(spec.v, spec.mapping_policy())[inputs])] = True
+    else:
+        mask[...] = True
+    return mask
+
+
+@pytest.mark.parametrize("regime", ["simple", "gated_unclipped", "gated_clipped"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sparse_window_matches_dense_step(name, regime):
+    # train_epoch's touched-row update against p -= lr * g over whole blocks.
+    # Two lanes read id 3 at step 0, so they share its slice; dropout is on.
+    spec = CONFIGS[name]
+    ids = np.array([3, 7, 1, 12, 3, 9, 7, 15, 2, 5], dtype=np.int64)
+    if regime == "simple":
+        cfg = TrainConfig.simple(seed=0, p_drop=0.3, init=InitScheme.uniform(-0.5, 0.5))
+        split = EncodedSplit(ids, np.zeros(1, dtype=np.int64))
+        chunk = next(chunk_sentences(split, cfg.t_bptt))
+    else:
+        clip = 0.05 if regime == "gated_clipped" else None
+        cfg = TrainConfig.gated(seed=0, t_bptt=4, batch=2, lr0=0.5, p_drop=0.3,
+                                clip_norm=clip, init=InitScheme.uniform(-0.5, 0.5))
+        split = EncodedSplit(ids, np.zeros(0, dtype=np.int64))
+        chunk = next(chunk_stream(split, cfg.t_bptt, cfg.batch))
+    sparse = init_params(spec, cfg.init, Rng(1))
+    dense = copy.deepcopy(sparse)
+
+    train_epoch(sparse, spec, cfg, split, lr=cfg.lr0, rng=Rng(2))
+    _, _, cache, _ = forward_chunk(dense, spec, chunk, mode="train", rng=Rng(2), p_drop=cfg.p_drop)
+    grads, _ = backward_chunk(dense, spec, cache)
+    for g in grads.values():
+        g /= chunk.inputs.shape[0]
+    if cfg.clip_norm is not None:
+        assert global_norm(grads.values()) > cfg.clip_norm
+        clip_by_global_norm(grads.values(), cfg.clip_norm)
+    for block, g in grads.items():
+        dense[block] -= cfg.lr0 * g
+
+    for block in dense:
+        if cfg.clip_norm is None:
+            assert np.array_equal(sparse[block], dense[block]), block
+            continue
+        touched = _touched(spec, block, dense[block].shape, chunk.inputs)
+        assert np.array_equal(sparse[block][~touched], dense[block][~touched]), block
+        np.testing.assert_allclose(sparse[block][touched], dense[block][touched],
+                                   rtol=1e-12, atol=0, err_msg=block)
 
 
 def test_sentence_reset_isolates_sentences(tiny):
