@@ -542,6 +542,10 @@ def main(argv=None) -> int:
         at = [f"{what} {n}" for what, n in (("epoch", err.epoch), ("window", err.window))
               if n is not None]
         where = f" ({', '.join(at)})" if at else ""
+        if err.timestep is not None:
+            where += f" at timestep {err.timestep}"
+            if err.lane is not None:
+                where += f", lane {err.lane}"
         print(f"numerical divergence{where}: {err}", file=sys.stderr)
         return 2
     except OSError as err:

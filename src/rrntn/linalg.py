@@ -68,8 +68,10 @@ class Rng:
 def softmax(z: np.ndarray) -> np.ndarray:
     """Probabilities along the last axis, computed with max-subtraction."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = z - np.max(z, axis=-1, keepdims=True)  # the one full-size buffer
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def sample_gaussian(rng: Rng, mean: float, stddev: float, n: int) -> np.ndarray:

@@ -47,10 +47,11 @@ GATED = ("gru", "lstm")
 class DivergenceError(RuntimeError):
     """Raised when a loss or an update stops being finite."""
 
-    def __init__(self, message: str, *, timestep: int | None = None, epoch: int | None = None,
-                 window: int | None = None):
+    def __init__(self, message: str, *, timestep: int | None = None, lane: int | None = None,
+                 epoch: int | None = None, window: int | None = None):
         super().__init__(message)
         self.timestep = timestep
+        self.lane = lane
         self.epoch = epoch
         self.window = window
 
@@ -272,10 +273,11 @@ def lstm_step(params, spec, x_ids, state, emb_mask=None):
                     "emb_mask": emb_mask, "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
 
 
-def output_distribution(params, h_t, dropout_mask=None):
-    """Softmax over the vocabulary from a hidden state (mask applied first)."""
-    hd = h_t if dropout_mask is None else h_t * dropout_mask
-    return softmax(hd @ params["w_out"].T + params["b_out"])
+def output_distribution(params, hd):
+    """Softmax over the vocabulary for each row of hidden states, shape (N, H)."""
+    logits = hd @ params["w_out"].T
+    logits += params["b_out"]
+    return softmax(logits)
 
 
 @dataclass
@@ -289,7 +291,8 @@ class ForwardCache:
     state_in: tuple[np.ndarray, ...]
     steps: list[dict] = field(default_factory=list)
     out_masks: list = field(default_factory=list)  # per-step (B, H) or None
-    probs: list = field(default_factory=list)  # per-step (B, V)
+    hd: np.ndarray | None = None  # (T, B, H) output-layer input, out_masks applied
+    probs: list = field(default_factory=list)  # per-step (B, V) views of one (T, B, V) block
     loss_sum: float = 0.0
     token_count: int = 0
 
@@ -310,7 +313,8 @@ def forward_chunk(
     mode with p_drop > 0, dropout masks are drawn from rng per timestep:
     the simple family masks only the hidden state entering the output layer,
     the gated families mask the embedding output as well; recurrent
-    connections are never masked.
+    connections are never masked. A non-finite step loss raises
+    DivergenceError with the first such timestep and its first such lane.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -324,25 +328,34 @@ def forward_chunk(
         raise ValueError("train-mode dropout needs an rng")
 
     step = _CELLS[spec.family].step
+    # The loop runs only the recurrence and draws the masks in their fixed
+    # order (emb, out, emb, out, ...); the output layer runs once afterwards
+    # over all T*B rows.
+    hd = np.empty((t_len, b, spec.h))
     cache = ForwardCache(spec=spec, inputs=chunk.inputs, targets=chunk.targets,
-                         reset_before=chunk.reset_before, state_in=state_in)
+                         reset_before=chunk.reset_before, state_in=state_in, hd=hd)
     state = state_in
-    b_idx = np.arange(b)
     for t in range(t_len):
-        ids = chunk.inputs[:, t]
         emb_mask = None
         if dropping and spec.is_gated:
             emb_mask = dropout_mask(rng, b * spec.e, p_drop).reshape(b, spec.e)
-        state, entry = step(params, spec, ids, state, emb_mask)
+        state, entry = step(params, spec, chunk.inputs[:, t], state, emb_mask)
         out_mask = dropout_mask(rng, b * spec.h, p_drop).reshape(b, spec.h) if dropping else None
-        p = output_distribution(params, state[0], out_mask)
-        step_loss = float(np.sum(-np.log(p[b_idx, chunk.targets[:, t]])))
-        if not np.isfinite(step_loss):
-            raise DivergenceError(f"non-finite loss at timestep {t}", timestep=t)
+        hd[t] = state[0]
+        if out_mask is not None:
+            hd[t] *= out_mask
         cache.steps.append(entry)
         cache.out_masks.append(out_mask)
-        cache.probs.append(p)
+
+    probs = output_distribution(params, hd.reshape(t_len * b, spec.h)).reshape(t_len, b, spec.v)
+    nll = -np.log(probs[np.arange(t_len)[:, None], np.arange(b)[None, :], chunk.targets.T])
+    for t in range(t_len):
+        step_loss = float(np.sum(nll[t]))
+        if not np.isfinite(step_loss):
+            lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
+            raise DivergenceError("non-finite loss", timestep=t, lane=lane)
         cache.loss_sum += step_loss
+    cache.probs = list(probs)
     cache.token_count = b * t_len
     return cache.loss_sum, cache.token_count, cache, state
 
@@ -369,16 +382,12 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     backward = _CELLS[spec.family].backward
 
     # Output layer, vectorized across all timesteps.
-    hd = np.stack([
-        entry["h"] if mask is None else entry["h"] * mask
-        for entry, mask in zip(cache.steps, cache.out_masks)
-    ])  # (T, B, H)
     dlogits = np.stack(cache.probs)  # (T, B, V)
     t_idx = np.arange(t_len)[:, None]
     b_idx = np.arange(b)[None, :]
     dlogits[t_idx, b_idx, cache.targets.T] -= 1.0
     flat_dl = dlogits.reshape(t_len * b, spec.v)
-    grads["w_out"] = flat_dl.T @ hd.reshape(t_len * b, spec.h)
+    grads["w_out"] = flat_dl.T @ cache.hd.reshape(t_len * b, spec.h)
     grads["b_out"] = flat_dl.sum(axis=0)
     dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
     for t in range(t_len):

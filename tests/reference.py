@@ -17,13 +17,17 @@ def _sigmoid(z):
 
 
 def _output_losses(params, hs, targets):
-    """Shared literal output stage: per-step softmax, loss, and dlogits."""
-    probs = []
+    """Shared literal output stage: one softmax over all T*B rows, per-step loss.
+
+    The rows are stacked into one (T*B, H) product, the same kernel the model
+    uses, so the comparison isolates the recurrence.
+    """
+    t_len, b = len(hs), targets.shape[0]
+    hd = np.stack(hs).reshape(t_len * b, -1)
+    probs = list(softmax(hd @ params["w_out"].T + params["b_out"]).reshape(t_len, b, -1))
     loss = 0.0
-    b_idx = np.arange(targets.shape[0])
-    for t, h in enumerate(hs):
-        p = softmax(h @ params["w_out"].T + params["b_out"])
-        probs.append(p)
+    b_idx = np.arange(b)
+    for t, p in enumerate(probs):
         loss += float(np.sum(-np.log(p[b_idx, targets[:, t]])))
     return probs, loss
 

@@ -32,7 +32,9 @@ def test_softmax_closed_form():
 def test_softmax_rows_sum_to_one():
     rng = Rng(3)
     z = sample_gaussian(rng, 0.0, 5.0, 40).reshape(4, 10)
+    z_before = z.copy()
     p = softmax(z)
+    assert np.array_equal(z, z_before)  # the in-place work happens on a copy
     assert np.all(p > 0)
     np.testing.assert_allclose(p.sum(axis=1), np.ones(4), rtol=0, atol=1e-12)
 

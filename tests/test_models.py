@@ -388,6 +388,53 @@ def test_forward_divergence_error_carries_timestep():
     assert err.value.timestep == 0
 
 
+def test_forward_divergence_error_names_first_lane():
+    # a NaN embedding column for word 5, which only lane 1 reads, at step 2
+    spec = ModelSpec("rrntn", v=6, h=3, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.4, 0.4), Rng(1))
+    params["w_emb"][:, 5] = np.nan
+    chunk = SequenceChunk(np.array([[0, 1, 2, 3], [1, 2, 5, 3]]),
+                          np.array([[1, 2, 3, 4], [2, 5, 3, 0]]), reset_before=True)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        forward_chunk(params, spec, chunk)
+    assert err.value.timestep == 2
+    assert err.value.lane == 1
+
+
+@pytest.mark.parametrize("spec, batch, p_drop", [
+    (ModelSpec("rrntn", v=13, h=5, k=3), 1, 0.0),
+    (ModelSpec("lstm", v=13, h=5, e=4, k=3), 3, 0.3),
+])
+def test_hoisted_output_stage_matches_per_step_definition(spec, batch, p_drop):
+    # the output layer runs once over all T*B rows; each step must still be
+    # the per-step distribution of its (masked) hidden state
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
+    ids = (Rng(5).uniform01(batch * 8) * spec.v).astype(np.int64).reshape(batch, 8)
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
+                                      p_drop=p_drop)
+    b_idx = np.arange(batch)
+    replay = 0.0
+    for t, (entry, mask) in enumerate(zip(cache.steps, cache.out_masks)):
+        assert (mask is not None) == (p_drop > 0)
+        h = entry["h"] if mask is None else entry["h"] * mask
+        np.testing.assert_allclose(cache.probs[t], output_distribution(params, h),
+                                   rtol=1e-12, atol=0)
+        replay += float(np.sum(-np.log(cache.probs[t][b_idx, chunk.targets[:, t]])))
+    assert replay == loss
+
+
+def test_hoisted_output_stage_raises_at_first_bad_step():
+    # word 3 gets probability zero, and it is the target at steps 1 and 3 only
+    spec = ModelSpec("rrntn", v=6, h=3, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.4, 0.4), Rng(1))
+    params["b_out"][3] = -np.inf
+    with pytest.raises(DivergenceError) as err, np.errstate(divide="ignore"):
+        forward_chunk(params, spec, _chunk([0, 1, 2, 4, 5], [1, 3, 4, 3, 0]))
+    assert err.value.timestep == 1
+    assert err.value.lane == 0
+
+
 def test_cache_replay_matches_loss_exactly():
     spec = ModelSpec("gru", v=10, h=4, e=3, k=2)
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))

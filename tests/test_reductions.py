@@ -26,11 +26,16 @@ from rrntn.models import (
 V, H, E, T = 20, 8, 6, 5
 
 
-def _random_case(spec, seed, t_len=T):
+def _random_case(spec, seed, batch, t_len=T):
+    """Random parameters and a chunk of `batch` lanes; with two or more lanes,
+    lane 1 repeats lane 0's input word at step 2, so one slice is selected
+    twice in the same step."""
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(seed))
     data = Rng(seed).derive(99)
-    ids = (data.uniform01(t_len + 1) * spec.v).astype(np.int64)
-    chunk = SequenceChunk(ids[:-1][None, :], ids[1:][None, :], reset_before=True)
+    ids = (data.uniform01(batch * (t_len + 1)) * spec.v).astype(np.int64).reshape(batch, -1)
+    if batch > 1:
+        ids[1, 2] = ids[0, 2]
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
     return params, chunk
 
 
@@ -40,15 +45,15 @@ def _run_main(params, spec, chunk):
     return loss, cache, state, grads, state_grad
 
 
-def assert_srnn_reduction(seed):
+def assert_srnn_reduction(seed, batch=1):
     spec = ModelSpec("rrntn", v=V, h=H, k=1)
-    params, chunk = _random_case(spec, seed)
+    params, chunk = _random_case(spec, seed, batch)
     loss, cache, state, grads, state_grad = _run_main(params, spec, chunk)
 
     ref_params = {"w_emb": params["w_emb"], "u": params["u_slices"][0],
                   "b": params["b_slices"][0], "w_out": params["w_out"],
                   "b_out": params["b_out"]}
-    ref = reference.srnn_run(ref_params, chunk.inputs, chunk.targets, np.zeros((1, H)))
+    ref = reference.srnn_run(ref_params, chunk.inputs, chunk.targets, np.zeros((batch, H)))
 
     assert ref["loss"] == loss
     for t in range(chunk.inputs.shape[1]):
@@ -63,16 +68,16 @@ def assert_srnn_reduction(seed):
     assert np.array_equal(ref["dh0"], state_grad[0])
 
 
-def assert_rntn_reduction(seed):
+def assert_rntn_reduction(seed, batch=1):
     spec = ModelSpec("rrntn", v=V, h=H, k=V, policy="identity")
-    params, chunk = _random_case(spec, seed)
+    params, chunk = _random_case(spec, seed, batch)
     shared_bias = params["b_slices"][0].copy()
     params["b_slices"][:] = shared_bias  # tie the bias rows to match one shared bias
     loss, cache, state, grads, state_grad = _run_main(params, spec, chunk)
 
     ref_params = {"w_emb": params["w_emb"], "u_tensor": params["u_slices"],
                   "b": shared_bias, "w_out": params["w_out"], "b_out": params["b_out"]}
-    ref = reference.rntn_run(ref_params, chunk.inputs, chunk.targets, np.zeros((1, H)))
+    ref = reference.rntn_run(ref_params, chunk.inputs, chunk.targets, np.zeros((batch, H)))
 
     assert ref["loss"] == loss
     for t in range(chunk.inputs.shape[1]):
@@ -87,9 +92,9 @@ def assert_rntn_reduction(seed):
                                rtol=1e-12, atol=1e-15)
 
 
-def assert_gru_reduction(seed):
+def assert_gru_reduction(seed, batch=1):
     spec = ModelSpec("gru", v=V, h=H, e=E, k=1)
-    params, chunk = _random_case(spec, seed)
+    params, chunk = _random_case(spec, seed, batch)
     loss, cache, state, grads, state_grad = _run_main(params, spec, chunk)
 
     ref_params = {"w_emb": params["w_emb"], "w_out": params["w_out"], "b_out": params["b_out"],
@@ -99,7 +104,7 @@ def assert_gru_reduction(seed):
         ref_params[f"u_{gate}"] = params[f"u_{gate}"]
         ref_params[f"b_{gate}"] = params[f"b_{gate}"]
     ref_params["w_cand"] = params["w_cand"]
-    ref = reference.gru_run(ref_params, chunk.inputs, chunk.targets, np.zeros((1, H)))
+    ref = reference.gru_run(ref_params, chunk.inputs, chunk.targets, np.zeros((batch, H)))
 
     assert ref["loss"] == loss
     for t in range(chunk.inputs.shape[1]):
@@ -113,9 +118,9 @@ def assert_gru_reduction(seed):
     assert np.array_equal(ref["dh0"], state_grad[0])
 
 
-def assert_lstm_reduction(seed):
+def assert_lstm_reduction(seed, batch=1):
     spec = ModelSpec("lstm", v=V, h=H, e=E, k=1)
-    params, chunk = _random_case(spec, seed)
+    params, chunk = _random_case(spec, seed, batch)
     loss, cache, state, grads, state_grad = _run_main(params, spec, chunk)
 
     ref_params = {"w_emb": params["w_emb"], "w_out": params["w_out"], "b_out": params["b_out"],
@@ -126,7 +131,7 @@ def assert_lstm_reduction(seed):
         ref_params[f"u_{gate}"] = params[f"u_{gate}"]
         ref_params[f"b_{gate}"] = params[f"b_{gate}"]
     ref = reference.lstm_run(ref_params, chunk.inputs, chunk.targets,
-                             np.zeros((1, H)), np.zeros((1, H)))
+                             np.zeros((batch, H)), np.zeros((batch, H)))
 
     assert ref["loss"] == loss
     for t in range(chunk.inputs.shape[1]):
@@ -154,3 +159,9 @@ ALL_REDUCTIONS = {
 @pytest.mark.parametrize("seed", range(10))
 def test_reduction(name, seed):
     ALL_REDUCTIONS[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_REDUCTIONS))
+@pytest.mark.parametrize("seed", range(10))
+def test_reduction_two_lanes(name, seed):
+    ALL_REDUCTIONS[name](seed, batch=2)
