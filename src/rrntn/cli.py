@@ -546,6 +546,10 @@ def main(argv=None) -> int:
             where += f" at timestep {err.timestep}"
             if err.lane is not None:
                 where += f", lane {err.lane}"
+            if err.word is not None:
+                where += f", word {err.word}"
+        if err.block is not None:
+            where += f" in block {err.block}"
         print(f"numerical divergence{where}: {err}", file=sys.stderr)
         return 2
     except OSError as err:

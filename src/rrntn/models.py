@@ -21,11 +21,12 @@ backpropagation through time over one chunk, exact with respect to the
 chunk's summed loss.
 
 Every family is one row of the cell table `_CELLS` (its step, backward
-step, parameter shapes, count formula, state arity and the blocks it selects
-per word, which `word_rows` turns into a window's touched rows), and every
-sliced recurrence goes through one primitive pair: `_sliced_pre` adds
-U[s] x + b[s] with the slice s chosen per word, `_sliced_backward` scatters
-its gradients.
+step, parameter shapes, count formula, state arity, the blocks it selects
+per word, which `word_rows` turns into a window's touched rows, and the
+weights it applies to its input, which `input_stage` applies to a whole
+chunk before the time loop), and every sliced recurrence goes through one
+primitive pair: `_sliced_pre` adds U[s] x + b[s] with the slice s chosen per
+word, `_sliced_backward` scatters its gradients.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ class DivergenceError(RuntimeError):
     """Raised when a loss or an update stops being finite."""
 
     def __init__(self, message: str, *, timestep: int | None = None, lane: int | None = None,
+                 word: int | None = None, block: str | None = None,
                  epoch: int | None = None, window: int | None = None):
         super().__init__(message)
         self.timestep = timestep
         self.lane = lane
+        self.word = word  # input id at (timestep, lane)
+        self.block = block  # first non-finite gradient block
         self.epoch = epoch
         self.window = window
 
@@ -205,68 +209,85 @@ def _sliced_backward(u: np.ndarray, gu: np.ndarray, gb: np.ndarray, s: np.ndarra
     return dx
 
 
-def rrntn_step(params, spec, x_ids, state, emb_mask=None):
+def input_stage(params, spec: ModelSpec, inputs: np.ndarray, emb_masks=None):
+    """The non-recurrent part of every step of a chunk, computed before the loop.
+
+    inputs is (B, T). Returns (x_in, xw): x_in is the (T, B, E) block of
+    embedding rows, multiplied by emb_masks (T, B, E) when given, and xw is
+    (n, T, B, H), one x_in @ W.T block per weight in the cell's `inputs`
+    column, each computed as one (T*B, E) product.
+    """
+    b, t_len = inputs.shape
+    x_in = params["w_emb"][:, inputs.T.reshape(-1)].T
+    if emb_masks is not None:
+        x_in = x_in * emb_masks.reshape(t_len * b, spec.e)
+    names = _CELLS[spec.family].inputs
+    xw = np.empty((len(names), t_len * b, spec.h))
+    for j, name in enumerate(names):
+        np.matmul(x_in, params[name].T, out=xw[j])
+    return x_in.reshape(t_len, b, spec.e), xw.reshape(len(names), t_len, b, spec.h)
+
+
+def rrntn_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
     """One step of the tensor recurrence: logistic(emb + U[slice] h + b[slice]).
 
     K = 1 reduces to the plain recurrent cell; K = V with the identity policy
-    is the full per-word tensor. The simple family masks only the output
-    layer, so emb_mask is ignored.
+    is the full per-word tensor. x_in is the step's (B, E) embedding rows and
+    xw its rows of the projected inputs (see input_stage; empty here). The
+    simple family masks only the output layer, so emb_mask is ignored.
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     s = _slice_table(spec)[x_ids]
     (h_prev,) = state
-    emb = params["w_emb"][:, x_ids].T
-    h = _sigmoid(_sliced_pre(params["u_slices"], params["b_slices"], s, h_prev, emb))
+    h = _sigmoid(_sliced_pre(params["u_slices"], params["b_slices"], s, h_prev, x_in))
     return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "h": h}
 
 
-def mrnn_step(params, spec, x_ids, state, emb_mask=None):
+def mrnn_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
     """One multiplicative step: the per-word recurrence is factored as
-    U_left diag(v_word) U_right. emb_mask is ignored, as for rrntn_step."""
+    U_left diag(v_word) U_right. xw and emb_mask are ignored, as for rrntn_step."""
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     (h_prev,) = state
-    emb = params["w_emb"][:, x_ids].T
     q = h_prev @ params["u_right"].T
     vx = params["v_factors"][:, x_ids].T
     r = vx * q
-    h = _sigmoid(emb + r @ params["u_left"].T + params["b_h"])
+    h = _sigmoid(x_in + r @ params["u_left"].T + params["b_h"])
     return (h,), {"x": x_ids, "h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
 
 
-def gru_step(params, spec, x_ids, state, emb_mask=None):
+def gru_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
     """One gated step; only the candidate-state recurrence is sliced.
 
-    emb_mask is the dropout mask applied to the embedding output during
-    training (all ones / None at evaluation time).
+    x_in is the step's (masked) embedding rows and xw its projections
+    (x_in W_reset^T, x_in W_update^T, x_in W_cand^T), from input_stage.
+    emb_mask is the dropout mask already applied to x_in during training
+    (None at evaluation time); backward needs it.
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     s = _slice_table(spec)[x_ids]
     (h_prev,) = state
-    x_in = params["w_emb"][:, x_ids].T
-    if emb_mask is not None:
-        x_in = x_in * emb_mask
-    r = _sigmoid(x_in @ params["w_reset"].T + h_prev @ params["u_reset"].T + params["b_reset"])
-    z = _sigmoid(x_in @ params["w_update"].T + h_prev @ params["u_update"].T + params["b_update"])
+    x_reset, x_update, x_cand = xw
+    r = _sigmoid(x_reset + h_prev @ params["u_reset"].T + params["b_reset"])
+    z = _sigmoid(x_update + h_prev @ params["u_update"].T + params["b_update"])
     hh = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, r * h_prev,
-                             x_in @ params["w_cand"].T))
+                             x_cand))
     h = z * h_prev + (1.0 - z) * hh
     return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "x_in": x_in,
                   "emb_mask": emb_mask, "r": r, "z": z, "hh": hh, "h": h}
 
 
-def lstm_step(params, spec, x_ids, state, emb_mask=None):
-    """One LSTM step over state (h, c); only the candidate-cell recurrence is sliced."""
+def lstm_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
+    """One LSTM step over state (h, c); only the candidate-cell recurrence is
+    sliced. xw holds x_in times W_forget, W_input, W_outgate and W_cand
+    (transposed), as for gru_step."""
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     s = _slice_table(spec)[x_ids]
     h_prev, c_prev = state
-    x_in = params["w_emb"][:, x_ids].T
-    if emb_mask is not None:
-        x_in = x_in * emb_mask
-    f = _sigmoid(x_in @ params["w_forget"].T + h_prev @ params["u_forget"].T + params["b_forget"])
-    i = _sigmoid(x_in @ params["w_input"].T + h_prev @ params["u_input"].T + params["b_input"])
-    o = _sigmoid(x_in @ params["w_outgate"].T + h_prev @ params["u_outgate"].T + params["b_outgate"])
-    cc = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, h_prev,
-                             x_in @ params["w_cand"].T))
+    x_forget, x_input, x_outgate, x_cand = xw
+    f = _sigmoid(x_forget + h_prev @ params["u_forget"].T + params["b_forget"])
+    i = _sigmoid(x_input + h_prev @ params["u_input"].T + params["b_input"])
+    o = _sigmoid(x_outgate + h_prev @ params["u_outgate"].T + params["b_outgate"])
+    cc = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, h_prev, x_cand))
     c = i * cc + f * c_prev
     h = o * np.tanh(c)
     return (h, c), {"x": x_ids, "s": s, "h_prev": h_prev, "c_prev": c_prev, "x_in": x_in,
@@ -314,7 +335,8 @@ def forward_chunk(
     the simple family masks only the hidden state entering the output layer,
     the gated families mask the embedding output as well; recurrent
     connections are never masked. A non-finite step loss raises
-    DivergenceError with the first such timestep and its first such lane.
+    DivergenceError with the first such timestep, its first such lane and
+    that lane's input word.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -328,24 +350,33 @@ def forward_chunk(
         raise ValueError("train-mode dropout needs an rng")
 
     step = _CELLS[spec.family].step
-    # The loop runs only the recurrence and draws the masks in their fixed
-    # order (emb, out, emb, out, ...); the output layer runs once afterwards
-    # over all T*B rows.
+    emb_masks = out_masks = None
+    if dropping:
+        # Every mask of the chunk, drawn before the loop in the fixed order
+        # (emb_0, out_0, emb_1, out_1, ...). The stream is counter-based, so
+        # one draw per step for both masks gives the same bits as two.
+        e_width = b * spec.e if spec.is_gated else 0
+        masks = np.empty((t_len, e_width + b * spec.h))
+        for t in range(t_len):
+            masks[t] = dropout_mask(rng, masks.shape[1], p_drop)
+        out_masks = masks[:, e_width:].reshape(t_len, b, spec.h)
+        if spec.is_gated:
+            emb_masks = masks[:, :e_width].reshape(t_len, b, spec.e)
+    # The input projections run once before the loop and the output layer
+    # once after it, each over all T*B rows; the loop runs the recurrence.
+    x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
     cache = ForwardCache(spec=spec, inputs=chunk.inputs, targets=chunk.targets,
-                         reset_before=chunk.reset_before, state_in=state_in, hd=hd)
+                         reset_before=chunk.reset_before, state_in=state_in, hd=hd,
+                         out_masks=[None] * t_len if out_masks is None else list(out_masks))
     state = state_in
     for t in range(t_len):
-        emb_mask = None
-        if dropping and spec.is_gated:
-            emb_mask = dropout_mask(rng, b * spec.e, p_drop).reshape(b, spec.e)
-        state, entry = step(params, spec, chunk.inputs[:, t], state, emb_mask)
-        out_mask = dropout_mask(rng, b * spec.h, p_drop).reshape(b, spec.h) if dropping else None
+        state, entry = step(params, spec, chunk.inputs[:, t], state, x_in[t], xw[:, t],
+                            None if emb_masks is None else emb_masks[t])
         hd[t] = state[0]
-        if out_mask is not None:
-            hd[t] *= out_mask
         cache.steps.append(entry)
-        cache.out_masks.append(out_mask)
+    if out_masks is not None:
+        hd *= out_masks
 
     probs = output_distribution(params, hd.reshape(t_len * b, spec.h)).reshape(t_len, b, spec.v)
     nll = -np.log(probs[np.arange(t_len)[:, None], np.arange(b)[None, :], chunk.targets.T])
@@ -353,7 +384,8 @@ def forward_chunk(
         step_loss = float(np.sum(nll[t]))
         if not np.isfinite(step_loss):
             lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
-            raise DivergenceError("non-finite loss", timestep=t, lane=lane)
+            raise DivergenceError("non-finite loss", timestep=t, lane=lane,
+                                  word=int(chunk.inputs[lane, t]))
         cache.loss_sum += step_loss
     cache.probs = list(probs)
     cache.token_count = b * t_len
@@ -490,11 +522,12 @@ def _lstm_backward(params, grads, entry, dstate):
 
 
 class _Cell(NamedTuple):
-    """One family: step(params, spec, ids, state, emb_mask) -> (state, entry),
-    backward(params, grads, entry, dstate) -> dstate, the arrays it adds
-    between w_emb and w_out in checkpoint order, its count formula, the
-    number of (B, H) arrays in its state, and which of its arrays are
-    selected per input word: by "word" column or by "slice" row."""
+    """One family: step(params, spec, ids, state, x_in, xw, emb_mask) ->
+    (state, entry), backward(params, grads, entry, dstate) -> dstate, the
+    arrays it adds between w_emb and w_out in checkpoint order, its count
+    formula, the number of (B, H) arrays in its state, which of its arrays
+    are selected per input word: by "word" column or by "slice" row, and the
+    (H, E) weights it applies to its input, in the order its step unpacks xw."""
 
     step: Callable
     backward: Callable
@@ -502,6 +535,7 @@ class _Cell(NamedTuple):
     formula: str
     arity: int
     rows: dict[str, str]
+    inputs: tuple[str, ...]
 
 
 def _gated_shapes(gates: tuple[str, ...]):
@@ -519,17 +553,19 @@ _CELLS = {
     "rrntn": _Cell(rrntn_step, _rrntn_backward,
                    lambda sp: {"u_slices": (sp.k, sp.h, sp.h), "b_slices": (sp.k, sp.h)},
                    "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1,
-                   {"u_slices": "slice", "b_slices": "slice"}),
+                   {"u_slices": "slice", "b_slices": "slice"}, ()),
     "mrnn": _Cell(mrnn_step, _mrnn_backward,
                   lambda sp: {"u_left": (sp.h, sp.factor), "u_right": (sp.factor, sp.h),
                               "v_factors": (sp.factor, sp.v), "b_h": (sp.h,)},
                   "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1,
-                  {"v_factors": "word"}),
+                  {"v_factors": "word"}, ()),
     "gru": _Cell(gru_step, _gru_backward, _gated_shapes(("reset", "update")),
                  "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS),
+                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS,
+                 ("w_reset", "w_update", "w_cand")),
     "lstm": _Cell(lstm_step, _lstm_backward, _gated_shapes(("forget", "input", "outgate")),
                   "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS),
+                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS,
+                  ("w_forget", "w_input", "w_outgate", "w_cand")),
 }
 FAMILIES = tuple(_CELLS)

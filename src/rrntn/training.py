@@ -96,14 +96,16 @@ def sgd_apply(params, grads, lr: float, rows=None) -> None:
     rows maps a block to the index its gradient was gathered with (see
     models.word_rows); a block without one is updated whole. Every gradient
     is checked before any parameter is written, so a non-finite block
-    leaves all parameters unchanged.
+    leaves all parameters unchanged and is named in the error. The step
+    consumes grads: each block is scaled by lr in place.
     """
     rows = rows or {}
     for name, g in grads.items():
         if not np.isfinite(np.sum(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
+            raise DivergenceError(f"non-finite gradient in {name}", block=name)
     for name, g in grads.items():
-        params[name][rows.get(name, ...)] -= lr * g
+        np.multiply(g, lr, out=g)
+        params[name][rows.get(name, ...)] -= g
 
 
 def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainConfig):

@@ -47,6 +47,20 @@ def _output_grads(params, grads, hs, probs, targets):
     return (flat @ params["w_out"]).reshape(t_len, b, h_dim)
 
 
+def _input_products(params, inputs, names):
+    """Each step's embedding rows and, per input weight, x_in @ W.T for all
+    steps as one (T*B, E) product before the recurrence.
+
+    The input projection has no slices and no recurrence, so stacking it is
+    the same math; it is the kernel the model uses, so the comparison isolates
+    the recurrence here too.
+    """
+    b_n, t_len = inputs.shape
+    xs = params["w_emb"][:, inputs.T.reshape(-1)].T
+    proj = {name: (xs @ params[name].T).reshape(t_len, b_n, -1) for name in names}
+    return xs.reshape(t_len, b_n, -1), proj
+
+
 def srnn_run(params, inputs, targets, h0):
     """Plain logistic recurrence h = sigmoid(emb + U h + b), forward + BPTT.
 
@@ -123,17 +137,18 @@ def gru_run(params, inputs, targets, h0):
     w_cand/u_cand/b_cand, w_out, b_out.
     """
     b_n, t_len = inputs.shape
+    xs, xw = _input_products(params, inputs, ("w_reset", "w_update", "w_cand"))
     h = h0
     steps = []
     for t in range(t_len):
-        x_in = params["w_emb"][:, inputs[:, t]].T
-        r = _sigmoid(x_in @ params["w_reset"].T + h @ params["u_reset"].T + params["b_reset"])
-        z = _sigmoid(x_in @ params["w_update"].T + h @ params["u_update"].T + params["b_update"])
+        x_in = xs[t]
+        r = _sigmoid(xw["w_reset"][t] + h @ params["u_reset"].T + params["b_reset"])
+        z = _sigmoid(xw["w_update"][t] + h @ params["u_update"].T + params["b_update"])
         rh = r * h
         rec = np.empty_like(h)
         for i in range(b_n):
             rec[i] = params["u_cand"] @ rh[i]
-        hh = np.tanh(x_in @ params["w_cand"].T + rec + params["b_cand"])
+        hh = np.tanh(xw["w_cand"][t] + rec + params["b_cand"])
         h_new = z * h + (1.0 - z) * hh
         steps.append({"x_in": x_in, "h_prev": h, "r": r, "z": z, "hh": hh, "h": h_new})
         h = h_new
@@ -181,17 +196,18 @@ def lstm_run(params, inputs, targets, h0, c0):
     w_outgate/u_outgate/b_outgate, w_cand/u_cand/b_cand, w_out, b_out.
     """
     b_n, t_len = inputs.shape
+    xs, xw = _input_products(params, inputs, ("w_forget", "w_input", "w_outgate", "w_cand"))
     h, c = h0, c0
     steps = []
     for t in range(t_len):
-        x_in = params["w_emb"][:, inputs[:, t]].T
-        f = _sigmoid(x_in @ params["w_forget"].T + h @ params["u_forget"].T + params["b_forget"])
-        i_g = _sigmoid(x_in @ params["w_input"].T + h @ params["u_input"].T + params["b_input"])
-        o = _sigmoid(x_in @ params["w_outgate"].T + h @ params["u_outgate"].T + params["b_outgate"])
+        x_in = xs[t]
+        f = _sigmoid(xw["w_forget"][t] + h @ params["u_forget"].T + params["b_forget"])
+        i_g = _sigmoid(xw["w_input"][t] + h @ params["u_input"].T + params["b_input"])
+        o = _sigmoid(xw["w_outgate"][t] + h @ params["u_outgate"].T + params["b_outgate"])
         rec = np.empty_like(h)
         for i in range(b_n):
             rec[i] = params["u_cand"] @ h[i]
-        cc = np.tanh(x_in @ params["w_cand"].T + rec + params["b_cand"])
+        cc = np.tanh(xw["w_cand"][t] + rec + params["b_cand"])
         c_new = i_g * cc + f * c
         h_new = o * np.tanh(c_new)
         steps.append({"x_in": x_in, "h_prev": h, "c_prev": c, "f": f, "i": i_g,

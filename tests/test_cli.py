@@ -341,3 +341,4 @@ def test_divergence_exit_code(prepped, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "divergence" in err
     assert re.search(r"\(epoch \d+, window \d+\)", err)
+    assert re.search(r"(, word \d+| in block \w+): ", err)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import rrntn.models
 from rrntn.corpus import SequenceChunk
-from rrntn.linalg import Rng
+from rrntn.linalg import Rng, dropout_mask
 from rrntn.models import (
     DivergenceError,
     InitScheme,
@@ -13,6 +14,7 @@ from rrntn.models import (
     forward_chunk,
     gru_step,
     init_params,
+    input_stage,
     lstm_step,
     mrnn_step,
     output_distribution,
@@ -26,6 +28,12 @@ from rrntn.models import (
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def _step(step, params, spec, ids, state):
+    """One cell step as forward_chunk runs it: the input stage, then the step."""
+    x_in, xw = input_stage(params, spec, ids[:, None])
+    return step(params, spec, ids, state, x_in[0], xw[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def test_param_count_formula_mentions_dims():
 def test_rrntn_step_zero_params_is_half():
     spec = ModelSpec("rrntn", v=5, h=3, k=2)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    (h,), _ = rrntn_step(params, spec, np.array([2]), (np.zeros((1, 3)),))
+    (h,), _ = _step(rrntn_step, params, spec, np.array([2]), (np.zeros((1, 3)),))
     assert np.array_equal(h, np.full((1, 3), 0.5))
 
 
@@ -136,13 +144,13 @@ def test_rrntn_step_hand_oracle():
     params["b_slices"][1] = [0.2, 0.1]
     h_prev = np.array([[0.3, -0.4]])
 
-    (h0,), entry0 = rrntn_step(params, spec, np.array([0]), (h_prev,))
+    (h0,), entry0 = _step(rrntn_step, params, spec, np.array([0]), (h_prev,))
     assert entry0["s"][0] == 0
     expect0 = [sigmoid(0.1 + (0.5 * 0.3 + -0.3 * -0.4) + 0.05),
                sigmoid(0.0 + (0.2 * 0.3 + 0.1 * -0.4) - 0.05)]
     np.testing.assert_allclose(h0[0], expect0, rtol=1e-14)
 
-    (h2,), entry2 = rrntn_step(params, spec, np.array([2]), (h_prev,))
+    (h2,), entry2 = _step(rrntn_step, params, spec, np.array([2]), (h_prev,))
     assert entry2["s"][0] == 1
     expect2 = [sigmoid(0.3 + (-0.1 * 0.3 + 0.4 * -0.4) + 0.2),
                sigmoid(-0.1 + (0.3 * 0.3 + -0.2 * -0.4) + 0.1)]
@@ -153,7 +161,7 @@ def test_rrntn_step_hand_oracle():
 def test_mrnn_step_zero_params_is_half():
     spec = ModelSpec("mrnn", v=4, h=2, factor=3)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    (h,), _ = mrnn_step(params, spec, np.array([1]), (np.zeros((1, 2)),))
+    (h,), _ = _step(mrnn_step, params, spec, np.array([1]), (np.zeros((1, 2)),))
     assert np.array_equal(h, np.full((1, 2), 0.5))
 
 
@@ -167,7 +175,7 @@ def test_mrnn_step_scalar_factor_oracle():
     params["v_factors"][:] = [[1.5, -2.0, 0.5]]
     params["b_h"][:] = [0.01, -0.02]
     h_prev = np.array([[0.3, -0.2]])
-    (h,), _ = mrnn_step(params, spec, np.array([1]), (h_prev,))
+    (h,), _ = _step(mrnn_step, params, spec, np.array([1]), (h_prev,))
     q = 0.6 * 0.3 + -0.7 * -0.2
     r = -2.0 * q
     expect = [sigmoid(-0.1 + 0.4 * r + 0.01), sigmoid(0.1 + -0.5 * r - 0.02)]
@@ -190,8 +198,8 @@ def test_mrnn_identity_factorization_reduces_to_shared_matrix():
     rparams["u_slices"][0] = np.eye(h_dim)
 
     h_prev = Rng(2).uniform01(h_dim).reshape(1, h_dim)
-    (hm,), _ = mrnn_step(params, spec, np.array([2]), (h_prev,))
-    (hr,), _ = rrntn_step(rparams, rspec, np.array([2]), (h_prev,))
+    (hm,), _ = _step(mrnn_step, params, spec, np.array([2]), (h_prev,))
+    (hr,), _ = _step(rrntn_step, rparams, rspec, np.array([2]), (h_prev,))
     assert np.array_equal(hm, hr)
 
 
@@ -199,7 +207,7 @@ def test_gru_step_zero_params_halves_state():
     spec = ModelSpec("gru", v=5, h=3, e=3, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
     h0 = np.array([[0.4, -0.8, 0.2]])
-    (h,), _ = gru_step(params, spec, np.array([1]), (h0,))
+    (h,), _ = _step(gru_step, params, spec, np.array([1]), (h0,))
     np.testing.assert_allclose(h, 0.5 * h0, rtol=0, atol=0)
 
 
@@ -228,14 +236,14 @@ def test_gru_step_hand_oracle():
           math.tanh(-0.3 * x + 0.05 * rh[0] + 0.35 * rh[1] - 0.03)]
     expect = [z[0] * 0.6 + (1 - z[0]) * hh[0], z[1] * -0.4 + (1 - z[1]) * hh[1]]
 
-    (h,), _ = gru_step(params, spec, np.array([0]), (np.array([h_prev]),))
+    (h,), _ = _step(gru_step, params, spec, np.array([0]), (np.array([h_prev]),))
     np.testing.assert_allclose(h[0], expect, rtol=1e-14)
 
 
 def test_lstm_step_zero_params_zero_state():
     spec = ModelSpec("lstm", v=5, h=3, e=3, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    (h, c), _ = lstm_step(params, spec, np.array([1]), (np.zeros((1, 3)), np.zeros((1, 3))))
+    (h, c), _ = _step(lstm_step, params, spec, np.array([1]), (np.zeros((1, 3)), np.zeros((1, 3))))
     assert np.array_equal(c, np.zeros((1, 3)))
     assert np.array_equal(h, np.zeros((1, 3)))
 
@@ -265,7 +273,7 @@ def test_lstm_step_hand_oracle():
     c_exp = i * cc + f * cp
     h_exp = o * math.tanh(c_exp)
 
-    (h, c), _ = lstm_step(params, spec, np.array([0]), (np.array([[hp]]), np.array([[cp]])))
+    (h, c), _ = _step(lstm_step, params, spec, np.array([0]), (np.array([[hp]]), np.array([[cp]])))
     np.testing.assert_allclose(c[0, 0], c_exp, rtol=1e-14)
     np.testing.assert_allclose(h[0, 0], h_exp, rtol=1e-14)
 
@@ -399,6 +407,13 @@ def test_forward_divergence_error_names_first_lane():
         forward_chunk(params, spec, chunk)
     assert err.value.timestep == 2
     assert err.value.lane == 1
+    assert err.value.word == 5
+
+
+def _dropout_case(spec, batch):
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
+    ids = (Rng(5).uniform01(batch * 8) * spec.v).astype(np.int64).reshape(batch, 8)
+    return params, SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
 
 
 @pytest.mark.parametrize("spec, batch, p_drop", [
@@ -408,9 +423,7 @@ def test_forward_divergence_error_names_first_lane():
 def test_hoisted_output_stage_matches_per_step_definition(spec, batch, p_drop):
     # the output layer runs once over all T*B rows; each step must still be
     # the per-step distribution of its (masked) hidden state
-    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
-    ids = (Rng(5).uniform01(batch * 8) * spec.v).astype(np.int64).reshape(batch, 8)
-    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    params, chunk = _dropout_case(spec, batch)
     loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
                                       p_drop=p_drop)
     b_idx = np.arange(batch)
@@ -420,6 +433,78 @@ def test_hoisted_output_stage_matches_per_step_definition(spec, batch, p_drop):
         h = entry["h"] if mask is None else entry["h"] * mask
         np.testing.assert_allclose(cache.probs[t], output_distribution(params, h),
                                    rtol=1e-12, atol=0)
+        replay += float(np.sum(-np.log(cache.probs[t][b_idx, chunk.targets[:, t]])))
+    assert replay == loss
+
+
+@pytest.mark.parametrize("spec, batch", [
+    (ModelSpec("rrntn", v=13, h=5, k=3), 1),
+    (ModelSpec("lstm", v=13, h=5, e=4, k=3), 3),
+])
+def test_dropout_masks_keep_interleaved_draw_order(spec, batch):
+    # the masks are drawn before the loop, but must be the per-step draws
+    # (emb_0, out_0, emb_1, out_1, ...) and leave the stream where they did
+    params, chunk = _dropout_case(spec, batch)
+    rng = Rng(2)
+    _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=rng, p_drop=0.3)
+    fresh = Rng(2)
+    for t, entry in enumerate(cache.steps):
+        if spec.is_gated:
+            emb = dropout_mask(fresh, batch * spec.e, 0.3).reshape(batch, spec.e)
+            assert np.array_equal(entry["emb_mask"], emb)
+        out = dropout_mask(fresh, batch * spec.h, 0.3).reshape(batch, spec.h)
+        assert np.array_equal(cache.out_masks[t], out)
+    assert np.array_equal(rng.raw64(4), fresh.raw64(4))
+
+
+def test_forward_reaches_dropout_and_softmax_by_module_name(monkeypatch):
+    # outside tools time these two by replacing the module attributes, so
+    # the forward pass must look them up there at call time
+    calls = {"dropout_mask": 0, "softmax": 0}
+
+    def counting(name):
+        fn = getattr(rrntn.models, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(rrntn.models, name, counting(name))
+    spec = ModelSpec("lstm", v=13, h=5, e=4, k=3)
+    params, chunk = _dropout_case(spec, 3)
+    forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
+    assert calls["dropout_mask"] > 0
+    assert calls["softmax"] > 0
+
+
+@pytest.mark.parametrize("family", ["gru", "lstm"])
+@pytest.mark.parametrize("batch, p_drop", [(1, 0.0), (3, 0.3)])
+def test_hoisted_input_stage_matches_per_step_definition(family, batch, p_drop):
+    # the input projections run once over all T*B rows; replaying every step
+    # with its own literal x_in @ W.T products must give the same states
+    step, inputs = {
+        "gru": (gru_step, ("w_reset", "w_update", "w_cand")),
+        "lstm": (lstm_step, ("w_forget", "w_input", "w_outgate", "w_cand")),
+    }[family]
+    spec = ModelSpec(family, v=13, h=5, e=4, k=3)
+    params, chunk = _dropout_case(spec, batch)
+    loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
+                                      p_drop=p_drop)
+    state = cache.state_in
+    b_idx = np.arange(batch)
+    replay = 0.0
+    for t, entry in enumerate(cache.steps):
+        x_in = params["w_emb"][:, chunk.inputs[:, t]].T
+        if p_drop > 0:
+            x_in = x_in * entry["emb_mask"]
+        assert np.array_equal(entry["x_in"], x_in)
+        xw = np.stack([x_in @ params[name].T for name in inputs])
+        state, _ = step(params, spec, chunk.inputs[:, t], state, x_in, xw)
+        np.testing.assert_allclose(entry["h"], state[0], rtol=1e-12, atol=0)
+        if family == "lstm":
+            np.testing.assert_allclose(entry["c"], state[1], rtol=1e-12, atol=0)
         replay += float(np.sum(-np.log(cache.probs[t][b_idx, chunk.targets[:, t]])))
     assert replay == loss
 
@@ -454,7 +539,7 @@ def test_gru_state_stays_bounded():
     state = (Rng(3).uniform01(6).reshape(1, 6) * 3.0,)
     bound = max(np.abs(state[0]).max(), 1.0)
     for t in range(20):
-        state, _ = gru_step(params, spec, np.array([t % 10]), state)
+        state, _ = _step(gru_step, params, spec, np.array([t % 10]), state)
         assert np.abs(state[0]).max() <= bound
 
 

@@ -66,9 +66,21 @@ def test_sgd_non_finite_last_block_writes_nothing():
     params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]), "c": np.array([4.0])}
     before = copy.deepcopy(params)
     grads = {"a": np.array([0.5, -0.5]), "b": np.array([1.0]), "c": np.array([np.nan])}
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as err:
         sgd_apply(params, grads, lr=0.1)
+    assert err.value.block == "c"
     assert all(np.array_equal(params[k], before[k]) for k in params)
+
+
+def test_sgd_rows_update_matches_literal_step():
+    p = Rng(0).uniform01(24).reshape(4, 6)
+    g = Rng(1).uniform01(12).reshape(4, 3)
+    idx = (slice(None), np.array([1, 3, 4]))
+    expected = p.copy()
+    expected[idx] = p[idx] - 0.3 * g
+    params = {"w": p.copy()}
+    sgd_apply(params, {"w": g.copy()}, lr=0.3, rows={"w": idx})
+    assert np.array_equal(params["w"], expected)
 
 
 # ---------------------------------------------------------------------------
