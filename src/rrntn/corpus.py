@@ -241,11 +241,6 @@ def read_sentences(path) -> list[list[str]]:
     return sentences
 
 
-def read_stream(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return f.read().split()
-
-
 def sentence_token_stream(sentences: Sequence[Sequence[str]]) -> Iterator[str]:
     """Flatten sentences with the end-of-sentence token appended to each,
     matching what encode() will produce; feed this to build_vocab so the

@@ -20,19 +20,19 @@ All arithmetic is float64. Gradients are computed by truncated
 backpropagation through time over one chunk, exact with respect to the
 chunk's summed loss.
 
-Every family is one row of the cell table `_CELLS` (its step, backward
-step, parameter shapes, count formula, state arity, the blocks it selects
-per word, which `word_rows` turns into a window's touched rows, and the
-weights it applies to its input, which `input_stage` applies to a whole
-chunk before the time loop), and every sliced recurrence goes through one
-primitive pair: `_sliced_pre` adds U[s] x + b[s] with the slice s chosen per
-word, `_sliced_backward` scatters its gradients.
+Every family is one row of the cell table `_CELLS`: its step and backward
+step, parameter shapes, gradient terms (formed once per chunk by
+`gradient_stage`; the terms on the input rows name the weights `input_stage`
+applies before the time loop), count formula, state arity and the blocks it
+selects per word (a window's touched rows, see `word_rows`). Every sliced
+recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
+with the slice s chosen per word, `_sliced_backward` returns U[s]^T d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
 from typing import Callable, NamedTuple
 
@@ -197,14 +197,10 @@ def _sliced_pre(u: np.ndarray, b: np.ndarray, s: np.ndarray, x: np.ndarray,
     return pre + rec + b[s]
 
 
-def _sliced_backward(u: np.ndarray, gu: np.ndarray, gb: np.ndarray, s: np.ndarray,
-                     d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Scatter outer(d, x) into gu[s] and d into gb[s] lane by lane (repeated
-    slices accumulate); returns U[s]^T d, the gradient with respect to x."""
+def _sliced_backward(u: np.ndarray, s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """U[s]^T d lane by lane: the gradient of _sliced_pre with respect to x."""
     dx = np.empty_like(d)
     for i in range(d.shape[0]):
-        gu[s[i]] += np.outer(d[i], x[i])
-        gb[s[i]] += d[i]
         dx[i] = u[s[i]].T @ d[i]
     return dx
 
@@ -214,54 +210,52 @@ def input_stage(params, spec: ModelSpec, inputs: np.ndarray, emb_masks=None):
 
     inputs is (B, T). Returns (x_in, xw): x_in is the (T, B, E) block of
     embedding rows, multiplied by emb_masks (T, B, E) when given, and xw is
-    (n, T, B, H), one x_in @ W.T block per weight in the cell's `inputs`
-    column, each computed as one (T*B, E) product.
+    (n, T, B, H), one x_in @ W.T block per input weight of the cell (its
+    terms on "x_in", in order), each computed as one (T*B, E) product.
     """
     b, t_len = inputs.shape
     x_in = params["w_emb"][:, inputs.T.reshape(-1)].T
     if emb_masks is not None:
         x_in = x_in * emb_masks.reshape(t_len * b, spec.e)
-    names = _CELLS[spec.family].inputs
+    names = [name for name, _, key in _CELLS[spec.family].terms if key == "x_in"]
     xw = np.empty((len(names), t_len * b, spec.h))
     for j, name in enumerate(names):
         np.matmul(x_in, params[name].T, out=xw[j])
     return x_in.reshape(t_len, b, spec.e), xw.reshape(len(names), t_len, b, spec.h)
 
 
-def rrntn_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
+def rrntn_step(params, spec, x_ids, state, x_in, xw):
     """One step of the tensor recurrence: logistic(emb + U[slice] h + b[slice]).
 
     K = 1 reduces to the plain recurrent cell; K = V with the identity policy
     is the full per-word tensor. x_in is the step's (B, E) embedding rows and
-    xw its rows of the projected inputs (see input_stage; empty here). The
-    simple family masks only the output layer, so emb_mask is ignored.
+    xw its rows of the projected inputs (see input_stage; empty here).
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     s = _slice_table(spec)[x_ids]
     (h_prev,) = state
     h = _sigmoid(_sliced_pre(params["u_slices"], params["b_slices"], s, h_prev, x_in))
-    return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "h": h}
+    return (h,), {"s": s, "h_prev": h_prev, "h": h}
 
 
-def mrnn_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
+def mrnn_step(params, spec, x_ids, state, x_in, xw):
     """One multiplicative step: the per-word recurrence is factored as
-    U_left diag(v_word) U_right. xw and emb_mask are ignored, as for rrntn_step."""
+    U_left diag(v_word) U_right. xw is empty, as for rrntn_step."""
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     (h_prev,) = state
     q = h_prev @ params["u_right"].T
     vx = params["v_factors"][:, x_ids].T
     r = vx * q
     h = _sigmoid(x_in + r @ params["u_left"].T + params["b_h"])
-    return (h,), {"x": x_ids, "h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
+    return (h,), {"h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
 
 
-def gru_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
+def gru_step(params, spec, x_ids, state, x_in, xw):
     """One gated step; only the candidate-state recurrence is sliced.
 
     x_in is the step's (masked) embedding rows and xw its projections
-    (x_in W_reset^T, x_in W_update^T, x_in W_cand^T), from input_stage.
-    emb_mask is the dropout mask already applied to x_in during training
-    (None at evaluation time); backward needs it.
+    (x_in W_reset^T, x_in W_update^T, x_in W_cand^T), from input_stage; the
+    gated steps read only xw.
     """
     x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     s = _slice_table(spec)[x_ids]
@@ -269,14 +263,13 @@ def gru_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
     x_reset, x_update, x_cand = xw
     r = _sigmoid(x_reset + h_prev @ params["u_reset"].T + params["b_reset"])
     z = _sigmoid(x_update + h_prev @ params["u_update"].T + params["b_update"])
-    hh = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, r * h_prev,
-                             x_cand))
+    rh = r * h_prev
+    hh = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, rh, x_cand))
     h = z * h_prev + (1.0 - z) * hh
-    return (h,), {"x": x_ids, "s": s, "h_prev": h_prev, "x_in": x_in,
-                  "emb_mask": emb_mask, "r": r, "z": z, "hh": hh, "h": h}
+    return (h,), {"s": s, "h_prev": h_prev, "r": r, "rh": rh, "z": z, "hh": hh, "h": h}
 
 
-def lstm_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
+def lstm_step(params, spec, x_ids, state, x_in, xw):
     """One LSTM step over state (h, c); only the candidate-cell recurrence is
     sliced. xw holds x_in times W_forget, W_input, W_outgate and W_cand
     (transposed), as for gru_step."""
@@ -290,8 +283,8 @@ def lstm_step(params, spec, x_ids, state, x_in, xw, emb_mask=None):
     cc = np.tanh(_sliced_pre(params["u_cand_slices"], params["b_cand_slices"], s, h_prev, x_cand))
     c = i * cc + f * c_prev
     h = o * np.tanh(c)
-    return (h, c), {"x": x_ids, "s": s, "h_prev": h_prev, "c_prev": c_prev, "x_in": x_in,
-                    "emb_mask": emb_mask, "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
+    return (h, c), {"s": s, "h_prev": h_prev, "c_prev": c_prev,
+                    "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
 
 
 def output_distribution(params, hd):
@@ -311,9 +304,11 @@ class ForwardCache:
     reset_before: bool
     state_in: tuple[np.ndarray, ...]
     steps: list[dict] = field(default_factory=list)
+    x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
+    emb_masks: np.ndarray | None = None  # (T, B, E), or None without embedding dropout
     out_masks: list = field(default_factory=list)  # per-step (B, H) or None
     hd: np.ndarray | None = None  # (T, B, H) output-layer input, out_masks applied
-    probs: list = field(default_factory=list)  # per-step (B, V) views of one (T, B, V) block
+    probs: np.ndarray | None = None  # (T, B, V); backward_chunk turns it into dlogits
     loss_sum: float = 0.0
     token_count: int = 0
 
@@ -367,12 +362,12 @@ def forward_chunk(
     x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
     cache = ForwardCache(spec=spec, inputs=chunk.inputs, targets=chunk.targets,
-                         reset_before=chunk.reset_before, state_in=state_in, hd=hd,
+                         reset_before=chunk.reset_before, state_in=state_in, x_in=x_in,
+                         emb_masks=emb_masks, hd=hd,
                          out_masks=[None] * t_len if out_masks is None else list(out_masks))
     state = state_in
     for t in range(t_len):
-        state, entry = step(params, spec, chunk.inputs[:, t], state, x_in[t], xw[:, t],
-                            None if emb_masks is None else emb_masks[t])
+        state, entry = step(params, spec, chunk.inputs[:, t], state, x_in[t], xw[:, t])
         hd[t] = state[0]
         cache.steps.append(entry)
     if out_masks is not None:
@@ -380,23 +375,19 @@ def forward_chunk(
 
     probs = output_distribution(params, hd.reshape(t_len * b, spec.h)).reshape(t_len, b, spec.v)
     nll = -np.log(probs[np.arange(t_len)[:, None], np.arange(b)[None, :], chunk.targets.T])
-    for t in range(t_len):
-        step_loss = float(np.sum(nll[t]))
-        if not np.isfinite(step_loss):
-            lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
-            raise DivergenceError("non-finite loss", timestep=t, lane=lane,
-                                  word=int(chunk.inputs[lane, t]))
-        cache.loss_sum += step_loss
-    cache.probs = list(probs)
+    # C order makes each row's sum the same pairwise sum as np.sum(nll[t])
+    step_loss = np.ascontiguousarray(nll).sum(axis=1)
+    finite = np.isfinite(step_loss)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
+        raise DivergenceError("non-finite loss", timestep=t, lane=lane,
+                              word=int(chunk.inputs[lane, t]))
+    for loss in step_loss.tolist():  # one add per step, in time order
+        cache.loss_sum += loss
+    cache.probs = probs
     cache.token_count = b * t_len
     return cache.loss_sum, cache.token_count, cache, state
-
-
-def zero_gradients(spec: ModelSpec) -> dict[str, np.ndarray]:
-    """Zeroed accumulators for the blocks the recurrence backward adds into;
-    the output layer's gradients are assigned whole, so they get none."""
-    return {name: np.zeros(shape) for name, shape in param_shapes(spec).items()
-            if name not in ("w_out", "b_out")}
 
 
 def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None):
@@ -404,168 +395,176 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
 
     state_grad_in is the gradient flowing into the chunk's final state from
     later computation, one (B, H) array per state array; pass None (zero)
-    for truncated training. Returns (gradients, state_grad_out) where
-    state_grad_out is the gradient with respect to the chunk's incoming
-    state. Recurrence-slice gradients only accumulate into slices selected
-    during the forward pass.
+    for truncated training. Returns (gradients, state_grad_out): one dense
+    block per entry of param_shapes, in its order, and the gradient with
+    respect to the chunk's incoming state. Consumes cache.probs, which holds
+    the logit gradients after. The reverse time loop carries only the
+    recurrence; gradient_stage then forms the recurrence gradients.
     """
     b, t_len = cache.inputs.shape
-    grads = zero_gradients(spec)
     backward = _CELLS[spec.family].backward
 
     # Output layer, vectorized across all timesteps.
-    dlogits = np.stack(cache.probs)  # (T, B, V)
-    t_idx = np.arange(t_len)[:, None]
-    b_idx = np.arange(b)[None, :]
-    dlogits[t_idx, b_idx, cache.targets.T] -= 1.0
+    dlogits = cache.probs
+    dlogits[np.arange(t_len)[:, None], np.arange(b)[None, :], cache.targets.T] -= 1.0
     flat_dl = dlogits.reshape(t_len * b, spec.v)
-    grads["w_out"] = flat_dl.T @ cache.hd.reshape(t_len * b, spec.h)
-    grads["b_out"] = flat_dl.sum(axis=0)
+    grads = {"w_out": flat_dl.T @ cache.hd.reshape(t_len * b, spec.h),
+             "b_out": flat_dl.sum(axis=0)}
     dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
-    for t in range(t_len):
-        if cache.out_masks[t] is not None:
-            dh_out[t] *= cache.out_masks[t]
+    if cache.out_masks[0] is not None:
+        dh_out *= np.stack(cache.out_masks)
 
     dstate = zero_state(spec, b) if state_grad_in is None else tuple(state_grad_in)
+    dpre = [None] * t_len
     for t in reversed(range(t_len)):
-        dstate = backward(params, grads, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
-    return grads, dstate
+        dstate, dpre[t] = backward(params, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
+    grads.update(gradient_stage(params, spec, cache, [np.concatenate(d) for d in zip(*dpre)]))
+    return {name: grads[name] for name in param_shapes(spec)}, dstate
 
 
-def _scatter_emb(g_emb: np.ndarray, x_ids: np.ndarray, d: np.ndarray) -> None:
-    np.add.at(g_emb, (slice(None), x_ids), d.T)
+def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[str, np.ndarray]:
+    """Every recurrence gradient of a chunk, each formed once over its T*B rows.
+
+    dpre holds the reverse loop's (T*B, .) pre-activation gradients, in the
+    order the cell's backward step returns them. Rows run t-major, so every
+    sum over rows is in (t, lane) order: one product or row sum per shared
+    block and per touched slice (rows grouped by a stable sort), one scatter
+    per word-selected block, and dx_in as one product per input weight.
+    """
+    cell = _CELLS[spec.family]
+    n = cache.inputs.size
+    ids = cache.inputs.T.reshape(-1)
+    xs = {"x_in": cache.x_in.reshape(n, -1)}  # the (T*B, .) rows each term multiplies
+    for key in {key for _, _, key in cell.terms} - {None, "x_in"}:
+        xs[key] = np.concatenate([entry[key] for entry in cache.steps])
+
+    # the simple families add the embedding straight into pre-activation 0
+    products = (dpre[j] @ params[name] for name, j, key in cell.terms if key == "x_in")
+    dx_in = reduce(np.add, products) if spec.is_gated else dpre[0]
+    if cache.emb_masks is not None:
+        dx_in *= cache.emb_masks.reshape(n, -1)
+    grads = {"w_emb": _scatter_columns(spec.e, spec.v, ids, dx_in)}
+
+    shapes = cell.shapes(spec)
+    slices = _slice_table(spec)[ids]
+    order = np.argsort(slices, kind="stable")
+    touched, starts = np.unique(slices[order], return_index=True)
+    by_slice = list(zip(touched, np.split(order, starts[1:])))
+    for name, j, key in cell.terms:
+        x, by = xs.get(key), cell.rows.get(name)
+        if by == "word":
+            grads[name] = _scatter_columns(*shapes[name], ids, dpre[j] * x)
+            continue
+        grads[name] = np.zeros(shapes[name])  # a shared block is one group of all rows
+        for s, r in by_slice if by == "slice" else [(..., slice(None))]:
+            grads[name][s] = dpre[j][r].sum(axis=0) if x is None else dpre[j][r].T @ x[r]
+    return grads
 
 
-def _rrntn_backward(params, grads, entry, dstate):
+def _scatter_columns(m: int, v: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, v) block whose column w sums rows[r] over ids[r] = w in row order,
+    as the transpose of a (v, m) row scatter, which is faster than columns."""
+    out = np.zeros((v, m))
+    np.add.at(out, ids, rows)
+    return out.T
+
+
+def _rrntn_backward(params, entry, dstate):
     (dh,) = dstate
-    h, h_prev, s, x = entry["h"], entry["h_prev"], entry["s"], entry["x"]
+    h = entry["h"]
     dz = dh * h * (1.0 - h)
-    _scatter_emb(grads["w_emb"], x, dz)
-    return (_sliced_backward(params["u_slices"], grads["u_slices"], grads["b_slices"],
-                             s, dz, h_prev),)
+    return (_sliced_backward(params["u_slices"], entry["s"], dz),), (dz,)
 
 
-def _mrnn_backward(params, grads, entry, dstate):
+def _mrnn_backward(params, entry, dstate):
     (dh,) = dstate
-    h, h_prev, q, vx, r, x = (entry["h"], entry["h_prev"], entry["q"],
-                              entry["vx"], entry["r"], entry["x"])
+    h = entry["h"]
     dz = dh * h * (1.0 - h)
-    _scatter_emb(grads["w_emb"], x, dz)
-    grads["b_h"] += dz.sum(axis=0)
-    grads["u_left"] += dz.T @ r
     dr = dz @ params["u_left"]
-    np.add.at(grads["v_factors"], (slice(None), x), (dr * q).T)
-    dq = dr * vx
-    grads["u_right"] += dq.T @ h_prev
-    return (dq @ params["u_right"],)
+    dq = dr * entry["vx"]
+    return (dq @ params["u_right"],), (dz, dq, dr)
 
 
-def _gru_backward(params, grads, entry, dstate):
+def _gru_backward(params, entry, dstate):
     (dh,) = dstate
-    h_prev, x_in, r, z, hh = entry["h_prev"], entry["x_in"], entry["r"], entry["z"], entry["hh"]
-    s, x, emb_mask = entry["s"], entry["x"], entry["emb_mask"]
+    h_prev, r, z, hh = entry["h_prev"], entry["r"], entry["z"], entry["hh"]
     dz_gate = dh * (h_prev - hh) * z * (1.0 - z)
     dhh_pre = dh * (1.0 - z) * (1.0 - hh * hh)
-    dh_prev = dh * z
-
-    d_rh = _sliced_backward(params["u_cand_slices"], grads["u_cand_slices"],
-                            grads["b_cand_slices"], s, dhh_pre, r * h_prev)
-    dr = d_rh * h_prev
-    dh_prev += d_rh * r
-    dr_pre = dr * r * (1.0 - r)
-
-    grads["w_reset"] += dr_pre.T @ x_in
-    grads["u_reset"] += dr_pre.T @ h_prev
-    grads["b_reset"] += dr_pre.sum(axis=0)
-    grads["w_update"] += dz_gate.T @ x_in
-    grads["u_update"] += dz_gate.T @ h_prev
-    grads["b_update"] += dz_gate.sum(axis=0)
-    grads["w_cand"] += dhh_pre.T @ x_in
-    dh_prev += dr_pre @ params["u_reset"] + dz_gate @ params["u_update"]
-
-    dx_in = dr_pre @ params["w_reset"] + dz_gate @ params["w_update"] + dhh_pre @ params["w_cand"]
-    if emb_mask is not None:
-        dx_in = dx_in * emb_mask
-    _scatter_emb(grads["w_emb"], x, dx_in)
-    return (dh_prev,)
+    d_rh = _sliced_backward(params["u_cand_slices"], entry["s"], dhh_pre)
+    dr_pre = d_rh * h_prev * r * (1.0 - r)
+    dh_prev = dh * z + d_rh * r + (dr_pre @ params["u_reset"] + dz_gate @ params["u_update"])
+    return (dh_prev,), (dr_pre, dz_gate, dhh_pre)
 
 
-def _lstm_backward(params, grads, entry, dstate):
+def _lstm_backward(params, entry, dstate):
     dh, dc_next = dstate
-    h_prev, c_prev, x_in = entry["h_prev"], entry["c_prev"], entry["x_in"]
-    f, i, o, cc, c = entry["f"], entry["i"], entry["o"], entry["cc"], entry["c"]
-    s, x, emb_mask = entry["s"], entry["x"], entry["emb_mask"]
-
+    c_prev, f, i, o, cc, c = (entry[key] for key in ("c_prev", "f", "i", "o", "cc", "c"))
     tanh_c = np.tanh(c)
     dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
     do_pre = dh * tanh_c * o * (1.0 - o)
     df_pre = dc * c_prev * f * (1.0 - f)
     di_pre = dc * cc * i * (1.0 - i)
     dcc_pre = dc * i * (1.0 - cc * cc)
-    dc_prev = dc * f
-
-    dh_prev = _sliced_backward(params["u_cand_slices"], grads["u_cand_slices"],
-                               grads["b_cand_slices"], s, dcc_pre, h_prev)
+    dh_prev = _sliced_backward(params["u_cand_slices"], entry["s"], dcc_pre)
     for name, dpre in (("forget", df_pre), ("input", di_pre), ("outgate", do_pre)):
-        grads[f"w_{name}"] += dpre.T @ x_in
-        grads[f"u_{name}"] += dpre.T @ h_prev
-        grads[f"b_{name}"] += dpre.sum(axis=0)
         dh_prev += dpre @ params[f"u_{name}"]
-    grads["w_cand"] += dcc_pre.T @ x_in
-
-    dx_in = (df_pre @ params["w_forget"] + di_pre @ params["w_input"]
-             + do_pre @ params["w_outgate"] + dcc_pre @ params["w_cand"])
-    if emb_mask is not None:
-        dx_in = dx_in * emb_mask
-    _scatter_emb(grads["w_emb"], x, dx_in)
-    return dh_prev, dc_prev
+    return (dh_prev, dc * f), (df_pre, di_pre, do_pre, dcc_pre)
 
 
 class _Cell(NamedTuple):
-    """One family: step(params, spec, ids, state, x_in, xw, emb_mask) ->
-    (state, entry), backward(params, grads, entry, dstate) -> dstate, the
-    arrays it adds between w_emb and w_out in checkpoint order, its count
-    formula, the number of (B, H) arrays in its state, which of its arrays
-    are selected per input word: by "word" column or by "slice" row, and the
-    (H, E) weights it applies to its input, in the order its step unpacks xw."""
+    """One family: step(params, spec, ids, state, x_in, xw) -> (state, entry),
+    backward(params, entry, dstate) -> (dstate, dpre), the arrays it adds
+    between w_emb and w_out in checkpoint order, its gradient terms (block,
+    j, X): dpre[j]^T X over all rows, X being the input rows "x_in" (these
+    blocks are the input weights, in the order the step unpacks xw) or a step
+    entry's rows, or the row sum for X = None; its count formula, the number
+    of (B, H) arrays in its state, and its blocks selected per input word: by
+    "word" column or by "slice" row."""
 
     step: Callable
     backward: Callable
     shapes: Callable[[ModelSpec], dict[str, tuple[int, ...]]]
+    terms: tuple[tuple[str, int, str | None], ...]
     formula: str
     arity: int
     rows: dict[str, str]
-    inputs: tuple[str, ...]
 
 
-def _gated_shapes(gates: tuple[str, ...]):
+def _gated(gates: tuple[str, ...], cand_in: str):
+    """Shapes and terms of a gated cell: each shared gate's W by the input
+    rows, U by the previous state and b by a row sum, then the candidate,
+    whose sliced U multiplies cand_in."""
     def shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         h, e, k = spec.h, spec.e, spec.k
         out: dict[str, tuple[int, ...]] = {}
         for gate in gates:
             out.update({f"w_{gate}": (h, e), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
         return {**out, "w_cand": (h, e), "u_cand_slices": (k, h, h), "b_cand_slices": (k, h)}
-    return shapes
+    c = len(gates)
+    return shapes, (*((f"{kind}_{gate}", j, x) for j, gate in enumerate(gates)
+                      for kind, x in (("w", "x_in"), ("u", "h_prev"), ("b", None))),
+                    ("w_cand", c, "x_in"), ("u_cand_slices", c, cand_in),
+                    ("b_cand_slices", c, None))
 
 
 _CAND_ROWS = {"u_cand_slices": "slice", "b_cand_slices": "slice"}
 _CELLS = {
     "rrntn": _Cell(rrntn_step, _rrntn_backward,
                    lambda sp: {"u_slices": (sp.k, sp.h, sp.h), "b_slices": (sp.k, sp.h)},
+                   (("u_slices", 0, "h_prev"), ("b_slices", 0, None)),
                    "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1,
-                   {"u_slices": "slice", "b_slices": "slice"}, ()),
+                   {"u_slices": "slice", "b_slices": "slice"}),
     "mrnn": _Cell(mrnn_step, _mrnn_backward,
                   lambda sp: {"u_left": (sp.h, sp.factor), "u_right": (sp.factor, sp.h),
                               "v_factors": (sp.factor, sp.v), "b_h": (sp.h,)},
-                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1,
-                  {"v_factors": "word"}, ()),
-    "gru": _Cell(gru_step, _gru_backward, _gated_shapes(("reset", "update")),
+                  (("u_left", 0, "r"), ("u_right", 1, "h_prev"), ("v_factors", 2, "q"),
+                   ("b_h", 0, None)),
+                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1, {"v_factors": "word"}),
+    "gru": _Cell(gru_step, _gru_backward, *_gated(("reset", "update"), "rh"),
                  "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS,
-                 ("w_reset", "w_update", "w_cand")),
-    "lstm": _Cell(lstm_step, _lstm_backward, _gated_shapes(("forget", "input", "outgate")),
+                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS),
+    "lstm": _Cell(lstm_step, _lstm_backward, *_gated(("forget", "input", "outgate"), "h_prev"),
                   "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS,
-                  ("w_forget", "w_input", "w_outgate", "w_cand")),
+                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS),
 }
 FAMILIES = tuple(_CELLS)

@@ -5,6 +5,12 @@ recurrence, a per-word tensor recurrence with one shared bias, and plain
 GRU / LSTM cells. There is no slice bookkeeping anywhere; the point is that
 the unified implementations, configured to K=1 (or K=V with the identity
 mapping), must reproduce these bit for bit on the same parameter arrays.
+
+The reverse loops carry the recurrence step by step. Each weight gradient is
+then formed once over all T*B rows in (t, lane) order, as one D^T X product
+(per word for the per-word tensor), a row sum or one embedding scatter: the
+grouping the model uses, so the comparison isolates the recurrence and the
+slice bookkeeping.
 """
 
 import numpy as np
@@ -61,6 +67,14 @@ def _input_products(params, inputs, names):
     return xs.reshape(t_len, b_n, -1), proj
 
 
+def _emb_grad(params, inputs, dx):
+    """One scatter of the (T*B, E) rows dx into the embedding columns of their
+    input words, in (t, lane) order."""
+    g = np.zeros_like(params["w_emb"])
+    np.add.at(g, (slice(None), inputs.T.reshape(-1)), dx.T)
+    return g
+
+
 def srnn_run(params, inputs, targets, h0):
     """Plain logistic recurrence h = sigmoid(emb + U h + b), forward + BPTT.
 
@@ -82,15 +96,17 @@ def srnn_run(params, inputs, targets, h0):
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dh_out = _output_grads(params, grads, hs, probs, targets)
     dh_next = np.zeros_like(h0)
+    dzs = [None] * t_len
     for t in reversed(range(t_len)):
         dh = dh_out[t] + dh_next
-        dz = dh * hs[t] * (1.0 - hs[t])
-        np.add.at(grads["w_emb"], (slice(None), inputs[:, t]), dz.T)
+        dz = dzs[t] = dh * hs[t] * (1.0 - hs[t])
         dh_next = np.empty_like(dh)
         for i in range(b_n):
-            grads["u"] += np.outer(dz[i], h_prevs[t][i])
-            grads["b"] += dz[i]
             dh_next[i] = params["u"].T @ dz[i]
+    dz = np.concatenate(dzs)
+    grads["u"] = dz.T @ np.concatenate(h_prevs)
+    grads["b"] = dz.sum(axis=0)
+    grads["w_emb"] = _emb_grad(params, inputs, dz)
     return {"loss": loss, "hs": hs, "probs": probs, "grads": grads, "dh0": dh_next}
 
 
@@ -117,16 +133,20 @@ def rntn_run(params, inputs, targets, h0):
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dh_out = _output_grads(params, grads, hs, probs, targets)
     dh_next = np.zeros_like(h0)
+    dzs = [None] * t_len
     for t in reversed(range(t_len)):
         ids = inputs[:, t]
         dh = dh_out[t] + dh_next
-        dz = dh * hs[t] * (1.0 - hs[t])
-        np.add.at(grads["w_emb"], (slice(None), ids), dz.T)
+        dz = dzs[t] = dh * hs[t] * (1.0 - hs[t])
         dh_next = np.empty_like(dh)
         for i in range(b_n):
-            grads["u_tensor"][ids[i]] += np.outer(dz[i], h_prevs[t][i])
-            grads["b"] += dz[i]
             dh_next[i] = params["u_tensor"][ids[i]].T @ dz[i]
+    dz, h_prev, ids = np.concatenate(dzs), np.concatenate(h_prevs), inputs.T.reshape(-1)
+    for word in np.unique(ids):
+        rows = np.flatnonzero(ids == word)
+        grads["u_tensor"][word] = dz[rows].T @ h_prev[rows]
+    grads["b"] = dz.sum(axis=0)
+    grads["w_emb"] = _emb_grad(params, inputs, dz)
     return {"loss": loss, "hs": hs, "probs": probs, "grads": grads, "dh0": dh_next}
 
 
@@ -141,7 +161,6 @@ def gru_run(params, inputs, targets, h0):
     h = h0
     steps = []
     for t in range(t_len):
-        x_in = xs[t]
         r = _sigmoid(xw["w_reset"][t] + h @ params["u_reset"].T + params["b_reset"])
         z = _sigmoid(xw["w_update"][t] + h @ params["u_update"].T + params["b_update"])
         rh = r * h
@@ -150,7 +169,7 @@ def gru_run(params, inputs, targets, h0):
             rec[i] = params["u_cand"] @ rh[i]
         hh = np.tanh(xw["w_cand"][t] + rec + params["b_cand"])
         h_new = z * h + (1.0 - z) * hh
-        steps.append({"x_in": x_in, "h_prev": h, "r": r, "z": z, "hh": hh, "h": h_new})
+        steps.append({"h_prev": h, "r": r, "z": z, "hh": hh, "h": h_new})
         h = h_new
     hs = [s["h"] for s in steps]
     probs, loss = _output_losses(params, hs, targets)
@@ -158,34 +177,36 @@ def gru_run(params, inputs, targets, h0):
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dh_out = _output_grads(params, grads, hs, probs, targets)
     dh_next = np.zeros_like(h0)
+    dpre = [None] * t_len
     for t in reversed(range(t_len)):
         s = steps[t]
-        h_prev, x_in, r, z, hh = s["h_prev"], s["x_in"], s["r"], s["z"], s["hh"]
+        h_prev, r, z, hh = s["h_prev"], s["r"], s["z"], s["hh"]
         dh = dh_out[t] + dh_next
         dz_gate = dh * (h_prev - hh) * z * (1.0 - z)
         dhh_pre = dh * (1.0 - z) * (1.0 - hh * hh)
         dh_prev = dh * z
-        rh = r * h_prev
         d_rh = np.empty_like(dh)
         for i in range(b_n):
-            grads["u_cand"] += np.outer(dhh_pre[i], rh[i])
-            grads["b_cand"] += dhh_pre[i]
             d_rh[i] = params["u_cand"].T @ dhh_pre[i]
         dr = d_rh * h_prev
         dh_prev += d_rh * r
         dr_pre = dr * r * (1.0 - r)
-        grads["w_reset"] += dr_pre.T @ x_in
-        grads["u_reset"] += dr_pre.T @ h_prev
-        grads["b_reset"] += dr_pre.sum(axis=0)
-        grads["w_update"] += dz_gate.T @ x_in
-        grads["u_update"] += dz_gate.T @ h_prev
-        grads["b_update"] += dz_gate.sum(axis=0)
-        grads["w_cand"] += dhh_pre.T @ x_in
         dh_prev += dr_pre @ params["u_reset"] + dz_gate @ params["u_update"]
-        dx_in = (dr_pre @ params["w_reset"] + dz_gate @ params["w_update"]
-                 + dhh_pre @ params["w_cand"])
-        np.add.at(grads["w_emb"], (slice(None), inputs[:, t]), dx_in.T)
+        dpre[t] = (dr_pre, dz_gate, dhh_pre)
         dh_next = dh_prev
+    dr_pre, dz_gate, dhh_pre = (np.concatenate(d) for d in zip(*dpre))
+    x_in = xs.reshape(t_len * b_n, -1)
+    h_prev = np.concatenate([s["h_prev"] for s in steps])
+    for gate, d in (("reset", dr_pre), ("update", dz_gate)):
+        grads[f"w_{gate}"] = d.T @ x_in
+        grads[f"u_{gate}"] = d.T @ h_prev
+        grads[f"b_{gate}"] = d.sum(axis=0)
+    grads["w_cand"] = dhh_pre.T @ x_in
+    grads["u_cand"] = dhh_pre.T @ np.concatenate([s["r"] * s["h_prev"] for s in steps])
+    grads["b_cand"] = dhh_pre.sum(axis=0)
+    dx_in = (dr_pre @ params["w_reset"] + dz_gate @ params["w_update"]
+             + dhh_pre @ params["w_cand"])
+    grads["w_emb"] = _emb_grad(params, inputs, dx_in)
     return {"loss": loss, "hs": hs, "probs": probs, "grads": grads, "dh0": dh_next}
 
 
@@ -200,7 +221,6 @@ def lstm_run(params, inputs, targets, h0, c0):
     h, c = h0, c0
     steps = []
     for t in range(t_len):
-        x_in = xs[t]
         f = _sigmoid(xw["w_forget"][t] + h @ params["u_forget"].T + params["b_forget"])
         i_g = _sigmoid(xw["w_input"][t] + h @ params["u_input"].T + params["b_input"])
         o = _sigmoid(xw["w_outgate"][t] + h @ params["u_outgate"].T + params["b_outgate"])
@@ -210,8 +230,8 @@ def lstm_run(params, inputs, targets, h0, c0):
         cc = np.tanh(xw["w_cand"][t] + rec + params["b_cand"])
         c_new = i_g * cc + f * c
         h_new = o * np.tanh(c_new)
-        steps.append({"x_in": x_in, "h_prev": h, "c_prev": c, "f": f, "i": i_g,
-                      "o": o, "cc": cc, "c": c_new, "h": h_new})
+        steps.append({"h_prev": h, "c_prev": c, "f": f, "i": i_g, "o": o, "cc": cc,
+                      "c": c_new, "h": h_new})
         h, c = h_new, c_new
     hs = [s["h"] for s in steps]
     probs, loss = _output_losses(params, hs, targets)
@@ -220,9 +240,10 @@ def lstm_run(params, inputs, targets, h0, c0):
     dh_out = _output_grads(params, grads, hs, probs, targets)
     dh_next = np.zeros_like(h0)
     dc_next = np.zeros_like(c0)
+    dpre = [None] * t_len
     for t in reversed(range(t_len)):
         s = steps[t]
-        h_prev, c_prev, x_in = s["h_prev"], s["c_prev"], s["x_in"]
+        h_prev, c_prev = s["h_prev"], s["c_prev"]
         f, i_g, o, cc, c_t = s["f"], s["i"], s["o"], s["cc"], s["c"]
         dh = dh_out[t] + dh_next
         tanh_c = np.tanh(c_t)
@@ -234,18 +255,23 @@ def lstm_run(params, inputs, targets, h0, c0):
         dc_next = dc * f
         dh_prev = np.empty_like(dh)
         for i in range(b_n):
-            grads["u_cand"] += np.outer(dcc_pre[i], h_prev[i])
-            grads["b_cand"] += dcc_pre[i]
             dh_prev[i] = params["u_cand"].T @ dcc_pre[i]
-        for name, dpre in (("forget", df_pre), ("input", di_pre), ("outgate", do_pre)):
-            grads[f"w_{name}"] += dpre.T @ x_in
-            grads[f"u_{name}"] += dpre.T @ h_prev
-            grads[f"b_{name}"] += dpre.sum(axis=0)
-            dh_prev += dpre @ params[f"u_{name}"]
-        grads["w_cand"] += dcc_pre.T @ x_in
-        dx_in = (df_pre @ params["w_forget"] + di_pre @ params["w_input"]
-                 + do_pre @ params["w_outgate"] + dcc_pre @ params["w_cand"])
-        np.add.at(grads["w_emb"], (slice(None), inputs[:, t]), dx_in.T)
+        for name, d in (("forget", df_pre), ("input", di_pre), ("outgate", do_pre)):
+            dh_prev += d @ params[f"u_{name}"]
+        dpre[t] = (df_pre, di_pre, do_pre, dcc_pre)
         dh_next = dh_prev
+    df_pre, di_pre, do_pre, dcc_pre = (np.concatenate(d) for d in zip(*dpre))
+    x_in = xs.reshape(t_len * b_n, -1)
+    h_prev = np.concatenate([s["h_prev"] for s in steps])
+    for name, d in (("forget", df_pre), ("input", di_pre), ("outgate", do_pre)):
+        grads[f"w_{name}"] = d.T @ x_in
+        grads[f"u_{name}"] = d.T @ h_prev
+        grads[f"b_{name}"] = d.sum(axis=0)
+    grads["w_cand"] = dcc_pre.T @ x_in
+    grads["u_cand"] = dcc_pre.T @ h_prev
+    grads["b_cand"] = dcc_pre.sum(axis=0)
+    dx_in = (df_pre @ params["w_forget"] + di_pre @ params["w_input"]
+             + do_pre @ params["w_outgate"] + dcc_pre @ params["w_cand"])
+    grads["w_emb"] = _emb_grad(params, inputs, dx_in)
     return {"loss": loss, "hs": hs, "probs": probs, "grads": grads,
             "dh0": dh_next, "dc0": dc_next}

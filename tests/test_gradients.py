@@ -101,3 +101,59 @@ def test_rrntn_batched_gradients_match_finite_differences(name):
             a = grads[block].reshape(-1)[idx]
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-3))
     assert worst < 1e-4
+
+
+def _two_lane_case(spec, t_len, seed):
+    from rrntn.models import InitScheme, init_params
+
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(seed))
+    ids = (Rng(seed + 1).uniform01(2 * (t_len + 1)) * spec.v).astype(np.int64).reshape(2, -1)
+    return params, ids
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_backward_returns_every_block_and_one_state_grad_per_state_array(name):
+    # the contract grad_check and outside gradient checks read: one dense
+    # gradient per parameter block, in checkpoint order, and a (B, H)
+    # gradient for each array of the incoming state
+    from rrntn.corpus import SequenceChunk
+    from rrntn.models import backward_chunk, forward_chunk, param_shapes
+
+    spec = CONFIGS[name]
+    params, ids = _two_lane_case(spec, 4, 31)
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    _, _, cache, state = forward_chunk(params, spec, chunk, mode="train")
+    grads, dstate = backward_chunk(params, spec, cache)
+    assert [(k, g.shape) for k, g in grads.items()] == list(param_shapes(spec).items())
+    assert len(dstate) == len(state) == (2 if spec.family == "lstm" else 1)
+    assert all(d.shape == (2, spec.h) for d in dstate)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_state_carried_between_chunks_matches_one_chunk(name):
+    # a 2T chunk against two T chunks that carry the state between them: one
+    # shared counter-based stream draws the same dropout masks, the second
+    # half runs backward first and hands its state gradient to the first
+    from rrntn.corpus import SequenceChunk
+    from rrntn.models import backward_chunk, forward_chunk
+
+    spec, t_len = CONFIGS[name], 3
+    params, ids = _two_lane_case(spec, 2 * t_len, 41)
+    whole = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    halves = [SequenceChunk(ids[:, :t_len], ids[:, 1:t_len + 1], reset_before=True),
+              SequenceChunk(ids[:, t_len:-1], ids[:, t_len + 1:], reset_before=False)]
+
+    _, _, cache, _ = forward_chunk(params, spec, whole, mode="train", rng=Rng(43), p_drop=0.3)
+    grads, dstate = backward_chunk(params, spec, cache)
+    rng, state, caches = Rng(43), None, []
+    for chunk in halves:
+        _, _, part, state = forward_chunk(params, spec, chunk, state, mode="train", rng=rng,
+                                          p_drop=0.3)
+        caches.append(part)
+    late, carried = backward_chunk(params, spec, caches[1])
+    early, dstate_split = backward_chunk(params, spec, caches[0], state_grad_in=carried)
+
+    for block, g in grads.items():
+        assert np.abs(early[block] + late[block] - g).max() <= 1e-12 * np.abs(g).max(), block
+    for d, d_split in zip(dstate, dstate_split):
+        assert np.abs(d_split - d).max() <= 1e-12 * np.abs(d).max()

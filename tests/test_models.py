@@ -22,7 +22,6 @@ from rrntn.models import (
     param_count_formula,
     param_shapes,
     rrntn_step,
-    zero_gradients,
 )
 
 
@@ -448,10 +447,10 @@ def test_dropout_masks_keep_interleaved_draw_order(spec, batch):
     rng = Rng(2)
     _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=rng, p_drop=0.3)
     fresh = Rng(2)
-    for t, entry in enumerate(cache.steps):
+    for t in range(chunk.inputs.shape[1]):
         if spec.is_gated:
             emb = dropout_mask(fresh, batch * spec.e, 0.3).reshape(batch, spec.e)
-            assert np.array_equal(entry["emb_mask"], emb)
+            assert np.array_equal(cache.emb_masks[t], emb)
         out = dropout_mask(fresh, batch * spec.h, 0.3).reshape(batch, spec.h)
         assert np.array_equal(cache.out_masks[t], out)
     assert np.array_equal(rng.raw64(4), fresh.raw64(4))
@@ -498,8 +497,8 @@ def test_hoisted_input_stage_matches_per_step_definition(family, batch, p_drop):
     for t, entry in enumerate(cache.steps):
         x_in = params["w_emb"][:, chunk.inputs[:, t]].T
         if p_drop > 0:
-            x_in = x_in * entry["emb_mask"]
-        assert np.array_equal(entry["x_in"], x_in)
+            x_in = x_in * cache.emb_masks[t]
+        assert np.array_equal(cache.x_in[t], x_in)
         xw = np.stack([x_in @ params[name].T for name in inputs])
         state, _ = step(params, spec, chunk.inputs[:, t], state, x_in, xw)
         np.testing.assert_allclose(entry["h"], state[0], rtol=1e-12, atol=0)
@@ -570,9 +569,82 @@ def test_backward_deterministic_without_dropout():
     assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
 
 
-def test_zero_gradients_shapes_match():
-    spec = ModelSpec("gru", v=9, h=4, e=5, k=3)
-    grads = zero_gradients(spec)
-    # the output layer's gradients are assigned whole, not accumulated
-    expected = {k: v for k, v in param_shapes(spec).items() if k not in ("w_out", "b_out")}
-    assert {k: v.shape for k, v in grads.items()} == expected
+def _per_step_gradients(params, spec, chunk, cache, probs, state_grad_in):
+    """Literal BPTT that accumulates every gradient step by step: np.outer per
+    lane into the slice, dpre.T @ x per weight and np.add.at per step into
+    the embedding, in reverse time order (rrntn and lstm)."""
+    grads = {name: np.zeros(shape) for name, shape in param_shapes(spec).items()}
+    b, t_len = chunk.inputs.shape
+    lanes = np.arange(b)
+    sliced = "u_slices" if spec.family == "rrntn" else "u_cand_slices"
+    u, bias = params[sliced], sliced.replace("u_", "b_")
+    dstate = tuple(state_grad_in)
+    for t in reversed(range(t_len)):
+        entry, ids, mask = cache.steps[t], chunk.inputs[:, t], cache.out_masks[t]
+        hd = entry["h"] if mask is None else entry["h"] * mask
+        dl = probs[t].copy()
+        dl[lanes, chunk.targets[:, t]] -= 1.0
+        grads["w_out"] += dl.T @ hd
+        grads["b_out"] += dl.sum(axis=0)
+        dh = dl @ params["w_out"]
+        dh = (dh if mask is None else dh * mask) + dstate[0]
+        h_prev = entry["h_prev"]
+        if spec.family == "rrntn":
+            d_sliced = dx_in = dh * entry["h"] * (1.0 - entry["h"])
+            dh_prev, dstate_rest = np.zeros_like(dh), ()
+        else:
+            f, i, o, cc, c = (entry[k] for k in ("f", "i", "o", "cc", "c"))
+            x_in = params["w_emb"][:, ids].T * cache.emb_masks[t]
+            tanh_c = np.tanh(c)
+            dc = dstate[1] + dh * o * (1.0 - tanh_c * tanh_c)
+            gates = {"forget": dc * entry["c_prev"] * f * (1.0 - f),
+                     "input": dc * cc * i * (1.0 - i), "outgate": dh * tanh_c * o * (1.0 - o)}
+            d_sliced = dc * i * (1.0 - cc * cc)
+            dh_prev, dstate_rest = np.zeros_like(dh), (dc * f,)
+            dx_in = d_sliced @ params["w_cand"]
+            grads["w_cand"] += d_sliced.T @ x_in
+            for gate, dpre in gates.items():
+                grads[f"w_{gate}"] += dpre.T @ x_in
+                grads[f"u_{gate}"] += dpre.T @ h_prev
+                grads[f"b_{gate}"] += dpre.sum(axis=0)
+                dh_prev += dpre @ params[f"u_{gate}"]
+                dx_in = dx_in + dpre @ params[f"w_{gate}"]
+            dx_in = dx_in * cache.emb_masks[t]
+        for lane in lanes:
+            s = entry["s"][lane]
+            grads[sliced][s] += np.outer(d_sliced[lane], h_prev[lane])
+            grads[bias][s] += d_sliced[lane]
+            dh_prev[lane] += u[s].T @ d_sliced[lane]
+        np.add.at(grads["w_emb"], (slice(None), ids), dx_in.T)
+        dstate = (dh_prev, *dstate_rest)
+    return grads, dstate
+
+
+@pytest.mark.parametrize("spec, batch, p_drop", [
+    (ModelSpec("rrntn", v=13, h=5, k=3), 2, 0.0),
+    (ModelSpec("lstm", v=13, h=5, e=4, k=3), 3, 0.3),
+])
+def test_chunk_gradients_match_per_step_accumulation(spec, batch, p_drop):
+    # the backward forms each gradient once per chunk; a literal per-step
+    # accumulation must agree up to summation order. Under policy f with
+    # K=3, words 2.. share slice 2, so lanes share a slice within a step.
+    params, chunk = _dropout_case(spec, batch)
+    chunk = SequenceChunk(chunk.inputs, chunk.targets, reset_before=False)
+    data = Rng(7)
+    state_in = tuple(data.uniform01(batch * spec.h).reshape(batch, spec.h) - 0.5
+                     for _ in range(2 if spec.family == "lstm" else 1))
+    state_grad_in = tuple(data.uniform01(batch * spec.h).reshape(batch, spec.h) - 0.5
+                          for _ in state_in)
+    _, _, cache, _ = forward_chunk(params, spec, chunk, state_in, mode="train", rng=Rng(2),
+                                   p_drop=p_drop)
+    slices = np.stack([entry["s"] for entry in cache.steps])
+    assert any(len(set(row)) < batch for row in slices)
+    oracle, oracle_dstate = _per_step_gradients(params, spec, chunk, cache, cache.probs.copy(),
+                                                state_grad_in)
+    grads, dstate = backward_chunk(params, spec, cache, state_grad_in=state_grad_in)
+    assert list(grads) == list(oracle)
+    for name, g in oracle.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+    for d, d_oracle in zip(dstate, oracle_dstate):
+        assert np.abs(d - d_oracle).max() <= 1e-12 * np.abs(d_oracle).max()
+
