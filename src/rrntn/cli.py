@@ -12,7 +12,7 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical divergence,
 3 I/O error or corrupt checkpoint.
 
 Config files are flat `key = value` lines; `#` starts a comment. Unknown
-keys are rejected and missing required keys are reported together.
+keys, missing required keys and bad values are reported together.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import hashlib
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,12 @@ from .evaluation import (
 )
 from .linalg import Rng
 from .mapping import POLICY_NAMES
-from .models import FAMILIES, DivergenceError, InitScheme, ModelSpec, param_shapes
-from .training import TrainConfig, fit, grad_check
+from .models import FAMILIES, DivergenceError, ModelSpec, param_shapes
+from .training import REGIMES, TrainConfig, fit, grad_check
 
 _CKPT_MAGIC = b"RRNTCKPT"
 _CKPT_VERSION = 1
+_CKPT_DTYPES = {"f64": "<f8", "f32": "<f4"}
 
 
 class UsageError(ValueError):
@@ -64,33 +65,49 @@ class ConfigError(ValueError):
 # Flat config files
 
 
-_CONFIG_DEFAULTS = {
-    "embed": None,
-    "k": "1",
-    "policy": "f",
-    "factor": "100",
-    "t_bptt": None,
-    "batch": None,
-    "lr0": None,
-    "halving_ratio": "1.003",
-    "patience": "5",
-    "p_drop": "0.5",
-    "clip_norm": None,
-    "init": None,
-    "init_stddev": "0.001",
-    "init_lo": "-0.05",
-    "init_hi": "0.05",
-    "init_bias": "same",
-    "max_epochs": "100",
-    "timing": "off",
-    "checkpoint_dtype": "f64",
-}
+def _choice(*allowed):
+    def parse(raw: str) -> str:
+        if raw not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _float_or_none(raw: str) -> float | None:
+    return None if raw.lower() == "none" else float(raw)
+
+
 _CONFIG_REQUIRED = ("corpus_dir", "out_dir", "family", "hidden", "regime", "seed")
-_REGIME_DEFAULTS = {
-    "simple": {"t_bptt": "20", "batch": "1", "lr0": "0.1", "clip_norm": "none",
-               "init": "gaussian"},
-    "gated": {"t_bptt": "35", "batch": "20", "lr0": "1.0", "clip_norm": "5",
-              "init": "uniform"},
+# Each key sets one field: of RunConfig ("run"), of the ModelSpec, which waits
+# for V from the corpus ("spec"), of TrainConfig ("train") or of its InitScheme
+# ("init"). A key the file leaves out keeps the value of the regime's preset,
+# TrainConfig.simple or TrainConfig.gated, or the dataclass default.
+_CONFIG_KEYS = {
+    "corpus_dir": ("run", "corpus_dir", str),
+    "out_dir": ("run", "out_dir", str),
+    "timing": ("run", "timing", _choice("off", "wall")),
+    "checkpoint_dtype": ("run", "checkpoint_dtype", _choice(*_CKPT_DTYPES)),
+    "family": ("spec", "family", str),
+    "hidden": ("spec", "h", int),
+    "embed": ("spec", "e", int),
+    "k": ("spec", "k", int),
+    "policy": ("spec", "policy", str),
+    "factor": ("spec", "factor", int),
+    "regime": ("train", "regime", _choice(*REGIMES)),
+    "seed": ("train", "seed", int),
+    "t_bptt": ("train", "t_bptt", int),
+    "batch": ("train", "batch", int),
+    "lr0": ("train", "lr0", float),
+    "halving_ratio": ("train", "halving_ratio", float),
+    "patience": ("train", "patience", int),
+    "p_drop": ("train", "p_drop", float),
+    "clip_norm": ("train", "clip_norm", _float_or_none),
+    "max_epochs": ("train", "max_epochs", int),
+    "init": ("init", "kind", str),
+    "init_stddev": ("init", "stddev", float),
+    "init_lo": ("init", "lo", float),
+    "init_hi": ("init", "hi", float),
+    "init_bias": ("init", "bias", str),
 }
 
 
@@ -113,12 +130,33 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
+_MRNN_FACTOR = 100  # m-RNN factor size when none is given
+
+
+def _build_spec(v: int, family: str, factor: int | None = None, **fields) -> ModelSpec:
+    """The ModelSpec a config file or the spec flags describe. Fields given
+    as None take ModelSpec's defaults; the factor size is the m-RNN's alone."""
+    fields = {name: value for name, value in fields.items() if value is not None}
+    if family == "mrnn":
+        fields["factor"] = _MRNN_FACTOR if factor is None else factor
+    try:
+        return ModelSpec(family=family, v=v, **fields)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 @dataclass
 class RunConfig:
-    """Validated flat configuration for train/sweep runs."""
+    """A validated config file: the TrainConfig it builds, the ModelSpec
+    fields it gives, and the run's own keys."""
 
     text: str
-    values: dict[str, str]
+    corpus_dir: str
+    out_dir: str
+    spec_fields: dict
+    train: TrainConfig
+    timing: str = "off"
+    checkpoint_dtype: str = "f64"
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -127,86 +165,33 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        """Parse and check every key, reporting all problems at once, then
+        apply the file's train and init keys to the regime's preset."""
         values = parse_config_text(text)
-        problems = []
-        known = set(_CONFIG_DEFAULTS) | set(_CONFIG_REQUIRED)
-        for key in values:
-            if key not in known:
+        problems = [f"missing required key {key!r}" for key in _CONFIG_REQUIRED
+                    if key not in values]
+        fields = {"run": {}, "spec": {}, "train": {}, "init": {}}
+        for key, raw in values.items():
+            if key not in _CONFIG_KEYS:
                 problems.append(f"unknown key {key!r}")
-        for key in _CONFIG_REQUIRED:
-            if key not in values:
-                problems.append(f"missing required key {key!r}")
+                continue
+            part, name, parse = _CONFIG_KEYS[key]
+            try:
+                fields[part][name] = parse(raw)
+            except ValueError as err:
+                problems.append(f"key {key!r}: {err}")
         if problems:
             raise ConfigError("; ".join(sorted(problems)))
-        regime = values.get("regime", "simple")
-        if regime not in _REGIME_DEFAULTS:
-            raise ConfigError(f"unknown regime {regime!r}")
-        merged = dict(_CONFIG_DEFAULTS)
-        merged.update(_REGIME_DEFAULTS[regime])
-        merged.update(values)
-        return cls(text=text, values=merged)
-
-    def _get(self, key: str, convert, describe: str):
-        raw = self.values.get(key)
-        if raw is None:
-            raise ConfigError(f"missing key {key!r}")
+        train = fields["train"]
         try:
-            return convert(raw)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"key {key!r}: expected {describe}, got {raw!r}") from err
-
-    def str_of(self, key: str) -> str:
-        return self._get(key, str, "a string")
-
-    def int_of(self, key: str) -> int:
-        return self._get(key, int, "an integer")
-
-    def float_of(self, key: str) -> float:
-        return self._get(key, float, "a number")
-
-    def optional_float(self, key: str) -> float | None:
-        raw = self.values.get(key)
-        if raw is None or raw.lower() == "none":
-            return None
-        return self.float_of(key)
+            preset = getattr(TrainConfig, train["regime"])(train["seed"])  # named per regime
+            train = replace(preset, init=replace(preset.init, **fields["init"]), **train)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        return cls(text=text, spec_fields=fields["spec"], train=train, **fields["run"])
 
     def model_spec(self, v: int) -> ModelSpec:
-        family = self.str_of("family")
-        embed = self.values.get("embed")
-        try:
-            return ModelSpec(
-                family=family,
-                v=v,
-                h=self.int_of("hidden"),
-                e=int(embed) if embed else None,
-                k=self.int_of("k"),
-                policy=self.str_of("policy"),
-                factor=self.int_of("factor") if family == "mrnn" else 0,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    def train_config(self) -> TrainConfig:
-        kind = self.str_of("init")
-        try:
-            init = InitScheme(kind=kind, stddev=self.float_of("init_stddev"),
-                              lo=self.float_of("init_lo"), hi=self.float_of("init_hi"),
-                              bias=self.str_of("init_bias"))
-            return TrainConfig(
-                regime=self.str_of("regime"),
-                t_bptt=self.int_of("t_bptt"),
-                batch=self.int_of("batch"),
-                lr0=self.float_of("lr0"),
-                init=init,
-                seed=self.int_of("seed"),
-                halving_ratio=self.float_of("halving_ratio"),
-                patience=self.int_of("patience"),
-                p_drop=self.float_of("p_drop"),
-                clip_norm=self.optional_float("clip_norm"),
-                max_epochs=self.int_of("max_epochs"),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return _build_spec(v, **self.spec_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +270,7 @@ def cmd_prep(args) -> int:
 
 def save_checkpoint(path, params, spec: ModelSpec, config_text: str,
                     vocab_sha: str, epoch: int, dtype: str = "f64") -> None:
-    np_dtype = {"f64": "<f8", "f32": "<f4"}[dtype]
+    np_dtype = _CKPT_DTYPES[dtype]
     meta_lines = [
         f"family = {spec.family}",
         f"v = {spec.v}",
@@ -348,7 +333,7 @@ def load_checkpoint(path) -> Checkpoint:
                 e=int(meta["e"]), k=int(meta["k"]), policy=meta["policy"],
                 factor=int(meta["factor"]),
             )
-            np_dtype = {"f64": "<f8", "f32": "<f4"}[meta["dtype"]]
+            np_dtype = _CKPT_DTYPES[meta["dtype"]]
         except (KeyError, ValueError) as err:
             raise CheckpointError(f"{path}: unreadable config or meta block ({err})") from err
         itemsize = 8 if meta["dtype"] == "f64" else 4
@@ -383,11 +368,9 @@ def _conventions(vocab: Vocabulary) -> str:
 
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
-    corpus_dir = cfg.str_of("corpus_dir")
-    vocab, corpus = load_corpus(corpus_dir)
+    vocab, corpus = load_corpus(cfg.corpus_dir)
     spec = cfg.model_spec(vocab.size)
-    train_cfg = cfg.train_config()
-    out_dir = Path(cfg.str_of("out_dir"))
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(metrics):
@@ -395,14 +378,13 @@ def cmd_train(args) -> int:
               f"train_ppl {metrics.train_ppl:.3f} valid_ppl {metrics.valid_ppl:.3f} "
               f"({metrics.seconds:.1f}s)")
 
-    result = fit(spec, train_cfg, corpus, log=log)
+    result = fit(spec, cfg.train, corpus, log=log)
     (out_dir / "metrics.csv").write_text(
-        _metrics_csv(result.history, cfg.str_of("timing")), encoding="utf-8")
+        _metrics_csv(result.history, cfg.timing), encoding="utf-8")
     best_epoch = result.best_epoch if result.best_epoch >= 0 else 0
     save_checkpoint(out_dir / "checkpoint.bin", result.params, spec, cfg.text,
-                    vocab_sha256(corpus_dir), best_epoch,
-                    dtype=cfg.str_of("checkpoint_dtype"))
-    test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=train_cfg.t_bptt)
+                    vocab_sha256(cfg.corpus_dir), best_epoch, dtype=cfg.checkpoint_dtype)
+    test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=cfg.train.t_bptt)
     print(_conventions(vocab))
     print(f"test PPL = {test_ppl:.6f}")
     return 0
@@ -411,31 +393,32 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     cfg = RunConfig.from_text(ckpt.config_text)
-    corpus_dir = args.corpus_dir or cfg.str_of("corpus_dir")
+    corpus_dir = args.corpus_dir or cfg.corpus_dir
     if vocab_sha256(corpus_dir) != ckpt.meta["vocab_sha256"]:
         raise ValueError(f"vocabulary hash mismatch: checkpoint was trained against a "
                          f"different vocab.tsv than {corpus_dir}")
     vocab, corpus = load_corpus(corpus_dir)
     split = getattr(corpus, args.split)
-    ppl = perplexity(ckpt.params, ckpt.spec, split, t_bptt=cfg.int_of("t_bptt"))
+    ppl = perplexity(ckpt.params, ckpt.spec, split, t_bptt=cfg.train.t_bptt)
     print(_conventions(vocab))
     print(f"{args.split} PPL = {ppl:.6f}")
     return 0
 
 
+def _flag_spec(args) -> ModelSpec:
+    return _build_spec(args.v, args.family, args.factor, h=args.hidden, e=args.embed,
+                       k=args.k, policy=args.policy)
+
+
 def cmd_count_params(args) -> int:
-    spec = ModelSpec(family=args.family, v=args.v, h=args.hidden,
-                     e=args.embed, k=args.k, policy=args.policy,
-                     factor=args.factor if args.family == "mrnn" else 0)
+    spec = _flag_spec(args)
     row = capacity_report([spec])[0]
     print(format_capacity_table([row]))
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    spec = ModelSpec(family=args.family, v=args.v, h=args.hidden,
-                     e=args.embed, k=args.k, policy=args.policy,
-                     factor=args.factor if args.family == "mrnn" else 0)
+    spec = _flag_spec(args)
     report = grad_check(spec, Rng(args.seed), t_steps=args.t_steps)
     print(report.format())
     return 0 if report.passed else 2
@@ -443,19 +426,18 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = RunConfig.load(args.config)
-    vocab, corpus = load_corpus(cfg.str_of("corpus_dir"))
+    vocab, corpus = load_corpus(cfg.corpus_dir)
     spec = cfg.model_spec(vocab.size)
-    train_cfg = cfg.train_config()
     k_values = [int(part) for part in args.k.split(",")]
     policies = tuple(args.policies.split(","))
-    out_dir = Path(cfg.str_of("out_dir"))
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(row):
         shown = "diverged" if row.test_ppl is None else f"{row.test_ppl:.3f}"
         print(f"policy {row.policy} K {row.k}: test PPL {shown}")
 
-    result = run_k_sweep(spec, k_values, train_cfg, corpus, policies=policies, log=log)
+    result = run_k_sweep(spec, k_values, cfg.train, corpus, policies=policies, log=log)
     csv_path = out_dir / "sweep.csv"
     csv_path.write_text(result.to_csv(), encoding="utf-8")
     print(f"wrote {csv_path}")
@@ -475,10 +457,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--v", type=int, required=True, help="vocabulary size")
     p.add_argument("--hidden", type=int, required=True)
-    p.add_argument("--embed", type=int, default=None)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--policy", default="f", choices=POLICY_NAMES)
-    p.add_argument("--factor", type=int, default=100)
+    p.add_argument("--embed", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--policy", choices=POLICY_NAMES)
+    p.add_argument("--factor", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,19 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import EncodedCorpus, EncodedSplit, SequenceChunk, chunk_sentences
+from .corpus import EncodedCorpus, EncodedSplit, chunk_sentences
 from .models import DivergenceError, ModelSpec, forward_chunk, param_count, param_count_formula
 from .training import TrainConfig, fit
-
-
-def _eval_stream_chunks(split: EncodedSplit, t_bptt: int):
-    # Full-coverage windows: unlike training's chunk_stream, the trailing
-    # partial window is kept so every token after the first is predicted.
-    ids = split.ids
-    n = len(ids)
-    for a in range(0, n - 1, t_bptt):
-        b = min(a + t_bptt, n - 1)
-        yield SequenceChunk(ids[a:b][None, :], ids[a + 1 : b + 1][None, :], reset_before=a == 0)
 
 
 def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -> float:
@@ -28,12 +18,14 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     carry it throughout. Every token after the split's first is predicted
     exactly once, so the value does not depend on t_bptt.
     """
-    chunks = (chunk_sentences(split, t_bptt) if split.has_sentences
-              else _eval_stream_chunks(split, t_bptt))
+    if not split.has_sentences:
+        # One sentence starting at 0: unlike training's chunk_stream, the
+        # trailing partial window is kept, and the state is never reset.
+        split = EncodedSplit(split.ids, np.zeros(1, dtype=np.int64))
     total = 0.0
     count = 0
     state = None
-    for chunk in chunks:
+    for chunk in chunk_sentences(split, t_bptt):
         loss, n, _, state = forward_chunk(params, spec, chunk, state, mode="eval")
         total += loss
         count += n

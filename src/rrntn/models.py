@@ -298,10 +298,8 @@ def output_distribution(params, hd):
 class ForwardCache:
     """Everything the backward pass needs from one chunk's forward pass."""
 
-    spec: ModelSpec
     inputs: np.ndarray
     targets: np.ndarray
-    reset_before: bool
     state_in: tuple[np.ndarray, ...]
     steps: list[dict] = field(default_factory=list)
     x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
@@ -309,8 +307,6 @@ class ForwardCache:
     out_masks: list = field(default_factory=list)  # per-step (B, H) or None
     hd: np.ndarray | None = None  # (T, B, H) output-layer input, out_masks applied
     probs: np.ndarray | None = None  # (T, B, V); backward_chunk turns it into dlogits
-    loss_sum: float = 0.0
-    token_count: int = 0
 
 
 def forward_chunk(
@@ -361,9 +357,8 @@ def forward_chunk(
     # once after it, each over all T*B rows; the loop runs the recurrence.
     x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
-    cache = ForwardCache(spec=spec, inputs=chunk.inputs, targets=chunk.targets,
-                         reset_before=chunk.reset_before, state_in=state_in, x_in=x_in,
-                         emb_masks=emb_masks, hd=hd,
+    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets,
+                         state_in=state_in, x_in=x_in, emb_masks=emb_masks, hd=hd,
                          out_masks=[None] * t_len if out_masks is None else list(out_masks))
     state = state_in
     for t in range(t_len):
@@ -383,11 +378,11 @@ def forward_chunk(
         lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
         raise DivergenceError("non-finite loss", timestep=t, lane=lane,
                               word=int(chunk.inputs[lane, t]))
+    loss_sum = 0.0
     for loss in step_loss.tolist():  # one add per step, in time order
-        cache.loss_sum += loss
+        loss_sum += loss
     cache.probs = probs
-    cache.token_count = b * t_len
-    return cache.loss_sum, cache.token_count, cache, state
+    return loss_sum, b * t_len, cache, state
 
 
 def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None):

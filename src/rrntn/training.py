@@ -61,22 +61,24 @@ class TrainConfig:
             raise ValueError("halving_ratio must exceed 1")
         if self.t_bptt < 1 or self.batch < 1:
             raise ValueError("t_bptt and batch must be positive")
+        if self.regime == "simple" and self.batch != 1:
+            raise ValueError("the simple regime trains one window at a time; batch must be 1")
 
     @classmethod
     def simple(cls, seed: int, **overrides) -> "TrainConfig":
-        """Sentence-window regime defaults: BPTT 20, no batching, LR 0.1,
-        gaussian init, no clipping."""
-        kw = dict(regime="simple", t_bptt=20, batch=1, lr0=0.1,
-                  init=InitScheme.gaussian(0.001), p_drop=0.5, clip_norm=None)
+        """The simple family's recipe: sentence windows, no batching or
+        clipping, InitScheme's default gaussian draw. Fields not set here
+        keep the class defaults."""
+        kw = dict(regime="simple", t_bptt=20, batch=1, lr0=0.1, init=InitScheme("gaussian"))
         kw.update(overrides)
         return cls(seed=seed, **kw)
 
     @classmethod
     def gated(cls, seed: int, **overrides) -> "TrainConfig":
-        """Stream regime defaults: BPTT 35, batch 20, LR 1.0, uniform init,
-        clip to 5."""
-        kw = dict(regime="gated", t_bptt=35, batch=20, lr0=1.0,
-                  init=InitScheme.uniform(-0.05, 0.05), p_drop=0.5, clip_norm=5.0)
+        """The gated families' stream recipe (Zaremba et al.): batched
+        stream windows, InitScheme's default uniform draw, clipped updates."""
+        kw = dict(regime="gated", t_bptt=35, batch=20, lr0=1.0, init=InitScheme("uniform"),
+                  clip_norm=5.0)
         kw.update(overrides)
         return cls(seed=seed, **kw)
 
@@ -127,10 +129,8 @@ def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainCo
 
 
 def _train_chunks(split: EncodedSplit, cfg: TrainConfig):
-    if cfg.regime == "simple":
-        if split.has_sentences:
-            return chunk_sentences(split, cfg.t_bptt)
-        return chunk_stream(split, cfg.t_bptt, batch=1)
+    if cfg.regime == "simple" and split.has_sentences:
+        return chunk_sentences(split, cfg.t_bptt)
     return chunk_stream(split, cfg.t_bptt, cfg.batch)
 
 
@@ -156,7 +156,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             grads, _ = backward_chunk(params, spec, cache)
             rows = word_rows(spec, chunk.inputs)
             grads = {name: g[rows.get(name, ...)] for name, g in grads.items()}
-            if cfg.regime == "gated" and cfg.batch > 1:
+            if cfg.batch > 1:
                 for g in grads.values():
                     g /= cfg.batch
             if cfg.clip_norm is not None:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from rrntn import cli
 from rrntn.corpus import UNK_TOKEN
 from rrntn.linalg import Rng
 from rrntn.models import InitScheme, ModelSpec, init_params, param_shapes
-from rrntn.training import fit
+from rrntn.training import TrainConfig, fit
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,7 @@ def test_eval_rejects_damaged_checkpoint(tmp_path, capsys, damage, block):
     (["--family", "rrntn", "--v", "10000", "--hidden", "100", "--k", "100"], "3M"),
     (["--family", "gru", "--v", "10000", "--hidden", "244", "--embed", "650",
       "--k", "100"], "15.5M"),
+    (["--family", "mrnn", "--v", "10000", "--hidden", "100"], "F=100 "),
 ])
 def test_count_params_labels(argv, expect, capsys):
     assert cli.main(["count-params", *argv]) == 0
@@ -281,7 +283,7 @@ def test_sweep_csv_and_endpoint_equivalence(prepped, tmp_path, capsys):
 
     # dedicated runs with the same seed must match the sweep endpoints
     run_cfg = cli.RunConfig.from_text(cfgfile.read_text())
-    train_cfg = run_cfg.train_config()
+    train_cfg = run_cfg.train
     from rrntn.evaluation import perplexity
     srnn = fit(ModelSpec("rrntn", v=vocab.size, h=6, k=1), train_cfg, corpus)
     srnn_ppl = perplexity(srnn.params, ModelSpec("rrntn", v=vocab.size, h=6, k=1),
@@ -308,6 +310,60 @@ def test_config_unknown_and_missing_keys_reported_together(tmp_path):
     assert "family" in msg and "seed" in msg  # missing required keys listed
 
 
+def _required_config(regime, **extra):
+    values = {"corpus_dir": "c", "out_dir": "o", "family": "rrntn", "hidden": "6",
+              "regime": regime, "seed": "3", **extra}
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+def test_config_with_required_keys_builds_the_preset():
+    for regime, preset in (("simple", TrainConfig.simple), ("gated", TrainConfig.gated)):
+        cfg = cli.RunConfig.from_text(_required_config(regime))
+        assert cfg.train == preset(3)
+        assert cfg.model_spec(30) == ModelSpec("rrntn", v=30, h=6)
+        assert (cfg.timing, cfg.checkpoint_dtype) == ("off", "f64")
+
+
+_OPTIONAL_TRAIN_KEYS = [  # key, raw value, TrainConfig field ("init." for InitScheme), value
+    ("t_bptt", "7", "t_bptt", 7),
+    ("lr0", "0.25", "lr0", 0.25),
+    ("halving_ratio", "1.01", "halving_ratio", 1.01),
+    ("patience", "2", "patience", 2),
+    ("p_drop", "0.25", "p_drop", 0.25),
+    ("clip_norm", "2.5", "clip_norm", 2.5),
+    ("max_epochs", "3", "max_epochs", 3),
+    ("init_stddev", "0.02", "init.stddev", 0.02),
+    ("init_lo", "-0.1", "init.lo", -0.1),
+    ("init_hi", "0.1", "init.hi", 0.1),
+    ("init_bias", "zero", "init.bias", "zero"),
+]
+
+
+@pytest.mark.parametrize("regime,key,raw,field,value", [
+    *[("simple", *case) for case in _OPTIONAL_TRAIN_KEYS],
+    *[("gated", *case) for case in _OPTIONAL_TRAIN_KEYS],
+    ("simple", "init", "uniform", "init.kind", "uniform"),
+    ("gated", "init", "gaussian", "init.kind", "gaussian"),
+    ("gated", "batch", "4", "batch", 4),
+    ("gated", "clip_norm", "none", "clip_norm", None),
+])
+def test_config_key_replaces_one_preset_field(regime, key, raw, field, value):
+    preset = TrainConfig.simple(3) if regime == "simple" else TrainConfig.gated(3)
+    if field.startswith("init."):
+        expect = replace(preset, init=replace(preset.init, **{field[5:]: value}))
+    else:
+        expect = replace(preset, **{field: value})
+    assert expect != preset
+    assert cli.RunConfig.from_text(_required_config(regime, **{key: raw})).train == expect
+
+
+def test_config_factor_applies_to_mrnn_only():
+    mrnn = cli.RunConfig.from_text(_required_config("simple", family="mrnn"))
+    assert mrnn.model_spec(30).factor == 100
+    rrntn = cli.RunConfig.from_text(_required_config("simple", factor="7"))
+    assert rrntn.model_spec(30).factor == 0
+
+
 def test_config_duplicate_key_rejected():
     with pytest.raises(cli.ConfigError):
         cli.parse_config_text("a = 1\na = 2\n")
@@ -328,6 +384,24 @@ def test_bad_config_exit_code(prepped, tmp_path, capsys):
     cfgfile.write_text("family = rrntn\n")
     assert cli.main(["train", str(cfgfile)]) == 1
     assert "missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,expect", [
+    ({"checkpoint_dtype": "f16"}, ["checkpoint_dtype"]),
+    ({"timing": "Wall"}, ["timing"]),
+    ({"batch": "20"}, ["batch"]),
+    ({"lr0": "abc", "bogus": "1"}, ["lr0", "bogus"]),
+])
+def test_bad_value_fails_before_training(prepped, tmp_path, capsys, overrides, expect):
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(_train_config(prepped, out_dir, **overrides))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    assert all(key in captured.err for key in expect)
+    assert not (out_dir / "metrics.csv").exists()
+    assert not (out_dir / "checkpoint.bin").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
