@@ -68,37 +68,34 @@ def run_k_sweep(base_spec: ModelSpec, k_values, cfg: TrainConfig,
     """Train one model per (policy, K) with a shared seed and collect test PPL.
 
     K = 1 doubles as the plain-RNN baseline and K = V as the full tensor
-    net. A diverging cell is recorded with an empty perplexity and the sweep
-    continues.
+    net. Every cell's ModelSpec is built before the first one trains, so a
+    bad policy or K fails at once. A diverging cell is recorded with an
+    empty perplexity and the sweep continues.
     """
     k_values = [int(k) for k in k_values]
     if not all(a < b for a, b in zip(k_values, k_values[1:])):
         raise ValueError("K values must be strictly increasing")
-    if any(k > base_spec.v for k in k_values):
-        raise ValueError("K cannot exceed the vocabulary size")
+    specs = [replace(base_spec, k=k, policy=policy) for policy in policies for k in k_values]
     rows: list[SweepRow] = []
     baselines: dict[str, float] = {}
-    for policy in policies:
-        for k in k_values:
-            spec = replace(base_spec, k=k, policy=policy)
-            row = SweepRow(policy=policy, k=k, h=spec.h,
-                           params=param_count(spec), test_ppl=None,
-                           valid_ppl=None, seed=cfg.seed)
-            try:
-                result = fit(spec, cfg, corpus)
-                row.test_ppl = perplexity(result.params, spec, corpus.test,
-                                          t_bptt=cfg.t_bptt)
-                row.valid_ppl = result.best_valid_ppl
-            except DivergenceError as err:
-                row.error = str(err)
-            rows.append(row)
-            if log is not None:
-                log(row)
-            if policy == "f" and row.test_ppl is not None:
-                if k == 1:
-                    baselines["srnn"] = row.test_ppl
-                if k == base_spec.v:
-                    baselines["rntn"] = row.test_ppl
+    for spec in specs:
+        row = SweepRow(policy=spec.policy, k=spec.k, h=spec.h,
+                       params=param_count(spec), test_ppl=None,
+                       valid_ppl=None, seed=cfg.seed)
+        try:
+            result = fit(spec, cfg, corpus)
+            row.test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=cfg.t_bptt)
+            row.valid_ppl = result.best_valid_ppl
+        except DivergenceError as err:
+            row.error = str(err)
+        rows.append(row)
+        if log is not None:
+            log(row)
+        if spec.policy == "f" and row.test_ppl is not None:
+            if spec.k == 1:
+                baselines["srnn"] = row.test_ppl
+            if spec.k == base_spec.v:
+                baselines["rntn"] = row.test_ppl
     return SweepResult(rows=rows, baselines=baselines)
 
 

@@ -1,9 +1,10 @@
 """Policies assigning each vocabulary word one of K recurrence-tensor slices.
 
 Words are addressed by unigram frequency rank (1 = most frequent). Internal
-slice indices are 0-based, so the rank-threshold policy returns
-min(rank, K) - 1 and the modulus policy returns rank mod K; both land in
-[0, K).
+slice indices are 0-based, so the rank-threshold policy `f` returns
+min(rank, K) - 1, the modulus policy `fmod` returns rank mod K and
+`identity` (K = V) returns rank - 1; all land in [0, K). `POLICIES` is the
+one table from a policy's name to its rank-to-slice rule.
 """
 
 from __future__ import annotations
@@ -12,70 +13,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POLICY_NAMES = ("f", "fmod", "identity")
-_KIND_OF_NAME = {"f": "rank_min", "fmod": "rank_mod", "identity": "identity"}
-_NAME_OF_KIND = {v: k for k, v in _KIND_OF_NAME.items()}
+POLICIES = {
+    "f": lambda rank, k: np.minimum(rank, k) - 1,
+    "fmod": lambda rank, k: rank % k,
+    "identity": lambda rank, k: rank - 1,
+}
+POLICY_NAMES = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
 class MappingPolicy:
-    kind: str  # rank_min | rank_mod | identity
+    name: str  # a key of POLICIES
     k: int
 
     def __post_init__(self):
-        if self.kind not in _NAME_OF_KIND:
-            raise ValueError(f"unknown mapping kind {self.kind!r}")
+        if self.name not in POLICIES:
+            raise ValueError(f"unknown policy name {self.name!r}; expected one of {POLICY_NAMES}")
         if self.k < 1:
             raise ValueError("slice count K must be at least 1")
-
-    @classmethod
-    def from_name(cls, name: str, k: int) -> "MappingPolicy":
-        if name not in _KIND_OF_NAME:
-            raise ValueError(f"unknown policy name {name!r}; expected one of {POLICY_NAMES}")
-        return cls(_KIND_OF_NAME[name], k)
-
-    @property
-    def name(self) -> str:
-        return _NAME_OF_KIND[self.kind]
 
     def validate_for(self, v: int) -> None:
         if self.k > v:
             raise ValueError(f"K={self.k} exceeds vocabulary size {v}")
-        if self.kind == "identity" and self.k != v:
+        if self.name == "identity" and self.k != v:
             raise ValueError("identity mapping requires K = V")
 
-
-def _check_rank(rank) -> np.ndarray:
-    rank = np.asarray(rank, dtype=np.int64)
-    if np.any(rank < 1):
-        raise ValueError("rank must be at least 1")
-    return rank
+    def slices(self, rank):
+        """Slice of each rank (>= 1); an int for a scalar rank."""
+        rank = np.asarray(rank, dtype=np.int64)
+        if np.any(rank < 1):
+            raise ValueError("rank must be at least 1")
+        out = POLICIES[self.name](rank, self.k)
+        return int(out) if out.ndim == 0 else out
 
 
 def map_rank_min(rank, k: int):
     """Slice for the rank-threshold policy: dedicated slices for ranks
     1..K-1, the last slice shared by every rank >= K."""
-    if k < 1:
-        raise ValueError("K must be at least 1")
-    out = np.minimum(_check_rank(rank), k) - 1
-    return int(out) if out.ndim == 0 else out
+    return MappingPolicy("f", k).slices(rank)
 
 
 def map_rank_mod(rank, k: int):
     """Slice for the pseudo-random modulus policy: rank mod K."""
-    if k < 1:
-        raise ValueError("K must be at least 1")
-    out = _check_rank(rank) % k
-    return int(out) if out.ndim == 0 else out
-
-
-def slice_for_rank(policy: MappingPolicy, rank):
-    if policy.kind == "rank_min":
-        return map_rank_min(rank, policy.k)
-    if policy.kind == "rank_mod":
-        return map_rank_mod(rank, policy.k)
-    out = _check_rank(rank) - 1  # identity: rank r owns slice r-1
-    return int(out) if out.ndim == 0 else out
+    return MappingPolicy("fmod", k).slices(rank)
 
 
 def slice_assignments(v: int, policy: MappingPolicy) -> np.ndarray:
@@ -85,7 +65,7 @@ def slice_assignments(v: int, policy: MappingPolicy) -> np.ndarray:
     for id i is the policy applied to rank i + 1.
     """
     policy.validate_for(v)
-    return np.asarray(slice_for_rank(policy, np.arange(1, v + 1)), dtype=np.int64)
+    return policy.slices(np.arange(1, v + 1))
 
 
 def slice_histogram(vocab, policy: MappingPolicy) -> np.ndarray:

@@ -26,7 +26,9 @@ step, parameter shapes, gradient terms (formed once per chunk by
 applies before the time loop), count formula, state arity and the blocks it
 selects per word (a window's touched rows, see `word_rows`). Every sliced
 recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
-with the slice s chosen per word, `_sliced_backward` returns U[s]^T d.
+with the slice s chosen per word, `_sliced_backward` returns U[s]^T d. The
+words' slices are looked up once per chunk, in forward_chunk, and kept on
+its cache for the steps, gradient_stage and word_rows.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ class ModelSpec:
         if self.family in ("rrntn", "mrnn") and self.e != self.h:
             raise ValueError("the simple family adds the embedding straight into the "
                              "pre-activation, so E must equal H")
-        if not 1 <= self.k <= self.v:
-            raise ValueError(f"K must lie in [1, V]; got K={self.k}, V={self.v}")
         if self.family == "mrnn":
             if self.factor < 1:
                 raise ValueError("m-RNN needs a positive factor size")
@@ -92,7 +92,7 @@ class ModelSpec:
         self.mapping_policy().validate_for(self.v)
 
     def mapping_policy(self) -> MappingPolicy:
-        return MappingPolicy.from_name(self.policy, self.k)
+        return MappingPolicy(self.policy, self.k)
 
     @property
     def is_gated(self) -> bool:
@@ -114,6 +114,10 @@ class InitScheme:
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.bias not in ("same", "zero"):
             raise ValueError("bias mode must be 'same' or 'zero'")
+        if self.stddev < 0:
+            raise ValueError(f"init stddev must be non-negative; got {self.stddev}")
+        if self.lo > self.hi:
+            raise ValueError(f"init bounds need lo <= hi; got lo={self.lo}, hi={self.hi}")
 
     @classmethod
     def gaussian(cls, stddev: float, bias: str = "same") -> "InitScheme":
@@ -168,17 +172,17 @@ def _slice_table(spec: ModelSpec) -> np.ndarray:
     return slice_assignments(spec.v, spec.mapping_policy())
 
 
-def word_rows(spec: ModelSpec, ids: np.ndarray) -> dict[str, object]:
+def word_rows(spec: ModelSpec, cache: ForwardCache) -> dict[str, object]:
     """Index of the part of each word-selected block a window can move.
 
-    A window over input ids gives nonzero gradients only to the columns of
-    w_emb (and of the other blocks the cell table selects by word) at its
-    unique ids, and only to the rows of the per-slice blocks at the slices
-    of those ids. Blocks not listed are dense; a block whose whole axis is
+    A window gives nonzero gradients only to the columns of w_emb (and of
+    the other blocks the cell table selects by word) at its unique input
+    ids, and only to the rows of the per-slice blocks at the slices of
+    those ids. Blocks not listed are dense; a block whose whole axis is
     touched maps to `...`, so indexing with it is a view, not a gather.
     """
-    words = np.unique(ids)
-    slices = np.unique(_slice_table(spec)[words])
+    words = np.unique(cache.inputs)
+    slices = np.unique(cache.slices)
     index = {"word": ... if words.size == spec.v else (slice(None), words),
              "slice": ... if slices.size == spec.k else slices}
     return {name: index[by] for name, by in {"w_emb": "word", **_CELLS[spec.family].rows}.items()}
@@ -224,24 +228,23 @@ def input_stage(params, spec: ModelSpec, inputs: np.ndarray, emb_masks=None):
     return x_in.reshape(t_len, b, spec.e), xw.reshape(len(names), t_len, b, spec.h)
 
 
-def rrntn_step(params, spec, x_ids, state, x_in, xw):
+def rrntn_step(params, s, x_ids, state, x_in, xw):
     """One step of the tensor recurrence: logistic(emb + U[slice] h + b[slice]).
 
     K = 1 reduces to the plain recurrent cell; K = V with the identity policy
-    is the full per-word tensor. x_in is the step's (B, E) embedding rows and
-    xw its rows of the projected inputs (see input_stage; empty here).
+    is the full per-word tensor. s holds the slice of each lane's input word
+    x_ids (the step's row of ForwardCache.slices), x_in the step's (B, E)
+    embedding rows and xw its rows of the projected inputs (see input_stage;
+    empty here).
     """
-    x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slice_table(spec)[x_ids]
     (h_prev,) = state
     h = _sigmoid(_sliced_pre(params["u_slices"], params["b_slices"], s, h_prev, x_in))
     return (h,), {"s": s, "h_prev": h_prev, "h": h}
 
 
-def mrnn_step(params, spec, x_ids, state, x_in, xw):
+def mrnn_step(params, s, x_ids, state, x_in, xw):
     """One multiplicative step: the per-word recurrence is factored as
     U_left diag(v_word) U_right. xw is empty, as for rrntn_step."""
-    x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
     (h_prev,) = state
     q = h_prev @ params["u_right"].T
     vx = params["v_factors"][:, x_ids].T
@@ -250,15 +253,13 @@ def mrnn_step(params, spec, x_ids, state, x_in, xw):
     return (h,), {"h_prev": h_prev, "q": q, "vx": vx, "r": r, "h": h}
 
 
-def gru_step(params, spec, x_ids, state, x_in, xw):
+def gru_step(params, s, x_ids, state, x_in, xw):
     """One gated step; only the candidate-state recurrence is sliced.
 
     x_in is the step's (masked) embedding rows and xw its projections
     (x_in W_reset^T, x_in W_update^T, x_in W_cand^T), from input_stage; the
     gated steps read only xw.
     """
-    x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slice_table(spec)[x_ids]
     (h_prev,) = state
     x_reset, x_update, x_cand = xw
     r = _sigmoid(x_reset + h_prev @ params["u_reset"].T + params["b_reset"])
@@ -269,12 +270,10 @@ def gru_step(params, spec, x_ids, state, x_in, xw):
     return (h,), {"s": s, "h_prev": h_prev, "r": r, "rh": rh, "z": z, "hh": hh, "h": h}
 
 
-def lstm_step(params, spec, x_ids, state, x_in, xw):
+def lstm_step(params, s, x_ids, state, x_in, xw):
     """One LSTM step over state (h, c); only the candidate-cell recurrence is
     sliced. xw holds x_in times W_forget, W_input, W_outgate and W_cand
     (transposed), as for gru_step."""
-    x_ids = np.atleast_1d(np.asarray(x_ids, dtype=np.int64))
-    s = _slice_table(spec)[x_ids]
     h_prev, c_prev = state
     x_forget, x_input, x_outgate, x_cand = xw
     f = _sigmoid(x_forget + h_prev @ params["u_forget"].T + params["b_forget"])
@@ -300,6 +299,7 @@ class ForwardCache:
 
     inputs: np.ndarray
     targets: np.ndarray
+    slices: np.ndarray  # (T, B) slice of each input word, looked up once per chunk
     state_in: tuple[np.ndarray, ...]
     steps: list[dict] = field(default_factory=list)
     x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
@@ -357,12 +357,13 @@ def forward_chunk(
     # once after it, each over all T*B rows; the loop runs the recurrence.
     x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
-    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets,
+    slices = _slice_table(spec)[chunk.inputs.T]
+    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices,
                          state_in=state_in, x_in=x_in, emb_masks=emb_masks, hd=hd,
                          out_masks=[None] * t_len if out_masks is None else list(out_masks))
     state = state_in
     for t in range(t_len):
-        state, entry = step(params, spec, chunk.inputs[:, t], state, x_in[t], xw[:, t])
+        state, entry = step(params, slices[t], chunk.inputs[:, t], state, x_in[t], xw[:, t])
         hd[t] = state[0]
         cache.steps.append(entry)
     if out_masks is not None:
@@ -441,7 +442,7 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     grads = {"w_emb": _scatter_columns(spec.e, spec.v, ids, dx_in)}
 
     shapes = cell.shapes(spec)
-    slices = _slice_table(spec)[ids]
+    slices = cache.slices.reshape(-1)
     order = np.argsort(slices, kind="stable")
     touched, starts = np.unique(slices[order], return_index=True)
     by_slice = list(zip(touched, np.split(order, starts[1:])))
@@ -507,7 +508,7 @@ def _lstm_backward(params, entry, dstate):
 
 
 class _Cell(NamedTuple):
-    """One family: step(params, spec, ids, state, x_in, xw) -> (state, entry),
+    """One family: step(params, s, ids, state, x_in, xw) -> (state, entry),
     backward(params, entry, dstate) -> (dstate, dpre), the arrays it adds
     between w_emb and w_out in checkpoint order, its gradient terms (block,
     j, X): dpre[j]^T X over all rows, X being the input rows "x_in" (these

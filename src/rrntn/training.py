@@ -61,6 +61,10 @@ class TrainConfig:
             raise ValueError("halving_ratio must exceed 1")
         if self.t_bptt < 1 or self.batch < 1:
             raise ValueError("t_bptt and batch must be positive")
+        if not 0.0 <= self.p_drop < 1.0:
+            raise ValueError(f"p_drop must lie in [0, 1); got {self.p_drop}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ValueError(f"clip_norm must be positive or none; got {self.clip_norm}")
         if self.regime == "simple" and self.batch != 1:
             raise ValueError("the simple regime trains one window at a time; batch must be 1")
 
@@ -154,7 +158,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             loss, count, cache, state = forward_chunk(
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
             grads, _ = backward_chunk(params, spec, cache)
-            rows = word_rows(spec, chunk.inputs)
+            rows = word_rows(spec, cache)
             grads = {name: g[rows.get(name, ...)] for name, g in grads.items()}
             if cfg.batch > 1:
                 for g in grads.values():

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +365,15 @@ def test_config_factor_applies_to_mrnn_only():
     assert rrntn.model_spec(30).factor == 0
 
 
+def test_readme_config_section_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+    # a key counts as documented as an ini line or in backticks, alone or as `key = ...`
+    missing = [key for key in cli._CONFIG_KEYS
+               if not re.search(rf"^{key} *=|`{key}( = [^`]*)?`", section, re.M)]
+    assert missing == []
+
+
 def test_config_duplicate_key_rejected():
     with pytest.raises(cli.ConfigError):
         cli.parse_config_text("a = 1\na = 2\n")
@@ -391,6 +401,11 @@ def test_bad_config_exit_code(prepped, tmp_path, capsys):
     ({"timing": "Wall"}, ["timing"]),
     ({"batch": "20"}, ["batch"]),
     ({"lr0": "abc", "bogus": "1"}, ["lr0", "bogus"]),
+    ({"p_drop": "-0.2"}, ["p_drop"]),
+    ({"p_drop": "1.5"}, ["p_drop"]),
+    ({"clip_norm": "-1"}, ["clip_norm"]),
+    ({"init_stddev": "-0.1"}, ["stddev"]),
+    ({"init_lo": "0.1", "init_hi": "-0.1"}, ["lo=0.1", "hi=-0.1"]),
 ])
 def test_bad_value_fails_before_training(prepped, tmp_path, capsys, overrides, expect):
     out_dir = tmp_path / "out"

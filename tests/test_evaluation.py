@@ -114,6 +114,19 @@ def test_sweep_requires_increasing_k(tiny):
         run_k_sweep(spec, [4, 2], _sweep_cfg(), corpus)
 
 
+def test_sweep_checks_every_policy_before_training(tiny, monkeypatch):
+    _, corpus, spec = tiny
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a sweep cell trained before every cell was checked")
+
+    monkeypatch.setattr("rrntn.evaluation.fit", no_fit)
+    with pytest.raises(ValueError, match="bogus"):
+        run_k_sweep(spec, [1, 3], _sweep_cfg(), corpus, policies=("f", "bogus"))
+    with pytest.raises(ValueError):
+        run_k_sweep(spec, [1, spec.v + 1], _sweep_cfg(), corpus, policies=("f",))
+
+
 def test_sweep_csv_format(tiny):
     _, corpus, spec = tiny
     result = run_k_sweep(spec, [1, 2], _sweep_cfg(), corpus, policies=("f",))

@@ -64,33 +64,39 @@ def test_policies_are_bijections_at_k_equals_v():
 
 
 def test_histogram_rank_min_closed_form():
-    counts = slice_histogram(10_000, MappingPolicy.from_name("f", 100))
+    counts = slice_histogram(10_000, MappingPolicy("f", 100))
     assert counts.sum() == 10_000
     assert np.all(counts[:99] == 1)
     assert counts[99] == 9_901
 
 
 def test_histogram_identity_all_ones():
-    counts = slice_histogram(10_000, MappingPolicy.from_name("identity", 10_000))
+    counts = slice_histogram(10_000, MappingPolicy("identity", 10_000))
     assert np.all(counts == 1)
 
 
 def test_histogram_rank_mod_enumerated():
     # ranks 1..10 mod 3 -> slice 0 gets ranks {3,6,9}, slice 1 {1,4,7,10}, slice 2 {2,5,8}
-    counts = slice_histogram(10, MappingPolicy.from_name("fmod", 3))
+    counts = slice_histogram(10, MappingPolicy("fmod", 3))
     assert counts.tolist() == [3, 4, 3]
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        MappingPolicy.from_name("identity", 5).validate_for(10)
+        MappingPolicy("identity", 5).validate_for(10)
     with pytest.raises(ValueError):
-        MappingPolicy.from_name("f", 11).validate_for(10)
+        MappingPolicy("f", 11).validate_for(10)
     with pytest.raises(ValueError):
-        MappingPolicy.from_name("nope", 3)
+        MappingPolicy("nope", 3)
 
 
-def test_assignments_index_by_id():
+@pytest.mark.parametrize("name,k,closed_form", [
+    ("f", 4, lambda rank: min(rank, 4) - 1),
+    ("fmod", 3, lambda rank: rank % 3),
+    ("identity", 10, lambda rank: rank - 1),
+], ids=["f", "fmod", "identity"])
+def test_assignments_index_by_id(name, k, closed_form):
     # ids are ranks shifted by one, so id 0 is rank 1
-    table = slice_assignments(10, MappingPolicy.from_name("f", 4))
-    assert table.tolist() == [0, 1, 2, 3, 3, 3, 3, 3, 3, 3]
+    table = slice_assignments(10, MappingPolicy(name, k))
+    assert table.dtype == np.int64
+    assert table.tolist() == [closed_form(i + 1) for i in range(10)]

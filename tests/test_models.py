@@ -6,6 +6,7 @@ import pytest
 import rrntn.models
 from rrntn.corpus import SequenceChunk
 from rrntn.linalg import Rng, dropout_mask
+from rrntn.mapping import slice_assignments
 from rrntn.models import (
     DivergenceError,
     InitScheme,
@@ -22,6 +23,7 @@ from rrntn.models import (
     param_count_formula,
     param_shapes,
     rrntn_step,
+    word_rows,
 )
 
 
@@ -32,7 +34,8 @@ def sigmoid(x):
 def _step(step, params, spec, ids, state):
     """One cell step as forward_chunk runs it: the input stage, then the step."""
     x_in, xw = input_stage(params, spec, ids[:, None])
-    return step(params, spec, ids, state, x_in[0], xw[:, 0])
+    s = slice_assignments(spec.v, spec.mapping_policy())[ids]
+    return step(params, s, ids, state, x_in[0], xw[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +503,34 @@ def test_hoisted_input_stage_matches_per_step_definition(family, batch, p_drop):
             x_in = x_in * cache.emb_masks[t]
         assert np.array_equal(cache.x_in[t], x_in)
         xw = np.stack([x_in @ params[name].T for name in inputs])
-        state, _ = step(params, spec, chunk.inputs[:, t], state, x_in, xw)
+        s = slice_assignments(spec.v, spec.mapping_policy())[chunk.inputs[:, t]]
+        state, _ = step(params, s, chunk.inputs[:, t], state, x_in, xw)
         np.testing.assert_allclose(entry["h"], state[0], rtol=1e-12, atol=0)
         if family == "lstm":
             np.testing.assert_allclose(entry["c"], state[1], rtol=1e-12, atol=0)
         replay += float(np.sum(-np.log(cache.probs[t][b_idx, chunk.targets[:, t]])))
     assert replay == loss
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("rrntn", v=13, h=5, k=4, policy="fmod"),
+    ModelSpec("lstm", v=13, h=5, e=4, k=3),
+])
+def test_window_looks_up_slices_once(monkeypatch, spec):
+    # forward_chunk indexes the slice table once; the steps, gradient_stage
+    # and word_rows all read the (T, B) block it keeps on the cache
+    table = slice_assignments(spec.v, spec.mapping_policy())
+    calls = []
+    monkeypatch.setattr(rrntn.models, "_slice_table", lambda sp: calls.append(sp) or table)
+    params, chunk = _dropout_case(spec, 3)
+    _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
+    backward_chunk(params, spec, cache)
+    rows = word_rows(spec, cache)
+    assert calls == [spec]
+    assert np.array_equal(cache.slices, table[chunk.inputs.T])
+    assert all(np.array_equal(entry["s"], cache.slices[t]) for t, entry in enumerate(cache.steps))
+    block = "b_slices" if spec.family == "rrntn" else "b_cand_slices"
+    assert np.array_equal(np.arange(spec.k)[rows[block]], np.unique(table[chunk.inputs]))
 
 
 def test_hoisted_output_stage_raises_at_first_bad_step():
