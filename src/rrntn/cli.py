@@ -23,6 +23,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, replace
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,11 @@ from .training import REGIMES, TrainConfig, fit, grad_check
 
 _CKPT_MAGIC = b"RRNTCKPT"
 _CKPT_VERSION = 1
-_CKPT_DTYPES = {"f64": "<f8", "f32": "<f4"}
+_CKPT_DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
+# The meta block in file order: the ModelSpec fields, each with its parser,
+# then the run's own keys, kept as text. A checkpoint must carry every key.
+_SPEC_META = {"family": str, "v": int, "e": int, "h": int, "k": int, "policy": str, "factor": int}
+_META_KEYS = (*_SPEC_META, "epoch", "vocab_sha256", "dtype")
 
 
 class UsageError(ValueError):
@@ -87,11 +92,11 @@ _CONFIG_KEYS = {
     "out_dir": ("run", "out_dir", str),
     "timing": ("run", "timing", _choice("off", "wall")),
     "checkpoint_dtype": ("run", "checkpoint_dtype", _choice(*_CKPT_DTYPES)),
-    "family": ("spec", "family", str),
+    "family": ("spec", "family", _choice(*FAMILIES)),
     "hidden": ("spec", "h", int),
     "embed": ("spec", "e", int),
     "k": ("spec", "k", int),
-    "policy": ("spec", "policy", str),
+    "policy": ("spec", "policy", _choice(*POLICY_NAMES)),
     "factor": ("spec", "factor", int),
     "regime": ("train", "regime", _choice(*REGIMES)),
     "seed": ("train", "seed", int),
@@ -202,8 +207,15 @@ def _write_ids(path: Path, ids: np.ndarray) -> None:
     path.write_bytes(ids.astype("<u4").tobytes())
 
 
-def _read_ids(path: Path) -> np.ndarray:
-    return np.frombuffer(path.read_bytes(), dtype="<u4").astype(np.int64)
+def _read_ids(path: Path, v: int) -> np.ndarray:
+    """A split's ids, checked to be whole 4-byte ids below V."""
+    data = path.read_bytes()
+    if len(data) % 4:
+        raise ValueError(f"{path}: {len(data)} bytes is not a whole number of 4-byte ids")
+    ids = np.frombuffer(data, dtype="<u4").astype(np.int64)
+    if ids.size and ids.max() >= v:
+        raise ValueError(f"{path}: id {ids.max()} is outside the vocabulary (V = {v})")
+    return ids
 
 
 def _boundaries_from_eos(ids: np.ndarray, eos_id: int) -> np.ndarray:
@@ -217,11 +229,9 @@ def load_corpus(corpus_dir) -> tuple[Vocabulary, EncodedCorpus]:
     vocab = Vocabulary.load(corpus_dir / "vocab.tsv")
     splits = {}
     for name in ("train", "valid", "test"):
-        ids = _read_ids(corpus_dir / f"{name}.ids")
-        if vocab.eos_id is not None:
-            boundaries = _boundaries_from_eos(ids, vocab.eos_id)
-        else:
-            boundaries = np.zeros(0, dtype=np.int64)
+        ids = _read_ids(corpus_dir / f"{name}.ids", vocab.size)
+        boundaries = (np.zeros(0, dtype=np.int64) if vocab.eos_id is None
+                      else _boundaries_from_eos(ids, vocab.eos_id))
         splits[name] = EncodedSplit(ids=ids, boundaries=boundaries)
     return vocab, EncodedCorpus(**splits)
 
@@ -270,29 +280,18 @@ def cmd_prep(args) -> int:
 
 def save_checkpoint(path, params, spec: ModelSpec, config_text: str,
                     vocab_sha: str, epoch: int, dtype: str = "f64") -> None:
-    np_dtype = _CKPT_DTYPES[dtype]
-    meta_lines = [
-        f"family = {spec.family}",
-        f"v = {spec.v}",
-        f"e = {spec.e}",
-        f"h = {spec.h}",
-        f"k = {spec.k}",
-        f"policy = {spec.policy}",
-        f"factor = {spec.factor}",
-        f"epoch = {epoch}",
-        f"vocab_sha256 = {vocab_sha}",
-        f"dtype = {dtype}",
-    ]
-    meta = "\n".join(meta_lines) + "\n"
+    meta = {key: getattr(spec, key) for key in _SPEC_META}
+    meta.update(epoch=epoch, vocab_sha256=vocab_sha, dtype=dtype)
+    meta_text = "".join(f"{key} = {meta[key]}\n" for key in _META_KEYS)
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", _CKPT_VERSION))
-        for block in (config_text, meta):
+        for block in (config_text, meta_text):
             data = block.encode("utf-8")
             f.write(struct.pack("<I", len(data)))
             f.write(data)
         for name in param_shapes(spec):
-            f.write(params[name].astype(np_dtype).tobytes())
+            params[name].astype(_CKPT_DTYPES[dtype], copy=False).tofile(f)
 
 
 @dataclass
@@ -328,21 +327,21 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             config_text, meta_text = (b.decode("utf-8") for b in blocks)
             meta = parse_config_text(meta_text)
-            spec = ModelSpec(
-                family=meta["family"], v=int(meta["v"]), h=int(meta["h"]),
-                e=int(meta["e"]), k=int(meta["k"]), policy=meta["policy"],
-                factor=int(meta["factor"]),
-            )
+            if missing := [key for key in _META_KEYS if key not in meta]:
+                raise ValueError(f"missing key {', '.join(missing)}")
+            spec = ModelSpec(**{key: parse(meta[key]) for key, parse in _SPEC_META.items()})
             np_dtype = _CKPT_DTYPES[meta["dtype"]]
         except (KeyError, ValueError) as err:
             raise CheckpointError(f"{path}: unreadable config or meta block ({err})") from err
-        itemsize = 8 if meta["dtype"] == "f64" else 4
         params = {}
         for name, shape in param_shapes(spec).items():
-            buf = _read_exact(f, int(np.prod(shape)) * itemsize, path, f"parameter block {name}")
-            params[name] = np.frombuffer(buf, dtype=np_dtype).astype(np.float64).reshape(shape)
-        extra = os.fstat(f.fileno()).st_size - f.tell()
-        if extra:
+            start, n = f.tell(), prod(shape)
+            block = np.fromfile(f, np_dtype, count=n)
+            if block.size != n:
+                raise CheckpointError(f"{path}: truncated parameter block {name} "
+                                      f"({f.tell() - start} of {n * np_dtype.itemsize} bytes)")
+            params[name] = block.astype(np.float64, copy=False).reshape(shape)
+        if extra := os.fstat(f.fileno()).st_size - f.tell():
             raise CheckpointError(f"{path}: {extra} trailing bytes after parameter block {name}")
     return Checkpoint(params=params, spec=spec, config_text=config_text, meta=meta)
 

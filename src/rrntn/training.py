@@ -205,7 +205,11 @@ def fit(spec: ModelSpec, cfg: TrainConfig, corpus: EncodedCorpus,
     for epoch in range(1, cfg.max_epochs + 1):
         metrics = train_epoch(params, spec, cfg, corpus.train, lr,
                               root.derive(1, epoch), epoch=epoch)
-        metrics.valid_ppl = perplexity(params, spec, corpus.valid, t_bptt=cfg.t_bptt)
+        try:
+            metrics.valid_ppl = perplexity(params, spec, corpus.valid, t_bptt=cfg.t_bptt)
+        except DivergenceError as err:
+            err.epoch = epoch
+            raise
         result.history.append(metrics)
         if log is not None:
             log(metrics)

@@ -1,4 +1,6 @@
 import re
+import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +36,13 @@ def prepped(ptb_dir, tmp_path_factory):
     rc = cli.main(["prep", "--format", "ptb", "--input", str(root), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def _copy_corpus(prepped, dest):
+    dest.mkdir()
+    for p in prepped.iterdir():
+        (dest / p.name).write_bytes(p.read_bytes())
+    return dest
 
 
 def _train_config(prepped, out_dir, **overrides):
@@ -150,10 +159,7 @@ def test_eval_rejects_vocab_hash_mismatch(prepped, tmp_path, capsys):
     cfgfile.write_text(_train_config(prepped, out_dir, max_epochs="1"))
     assert cli.main(["train", str(cfgfile)]) == 0
     # clone the corpus with a perturbed vocabulary file
-    other = tmp_path / "othercorpus"
-    other.mkdir()
-    for p in prepped.iterdir():
-        (other / p.name).write_bytes(p.read_bytes())
+    other = _copy_corpus(prepped, tmp_path / "othercorpus")
     vocab_lines = (other / "vocab.tsv").read_text().splitlines()
     vocab_lines[0] = vocab_lines[0].split("\t")[0] + "\t999999"
     (other / "vocab.tsv").write_text("\n".join(vocab_lines) + "\n")
@@ -213,6 +219,42 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         cli.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dtype,code", [("f64", "d"), ("f32", "f")])
+def test_checkpoint_file_layout(tmp_path, dtype, code):
+    spec = ModelSpec("rrntn", v=5, h=2, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
+    path = tmp_path / "ck.bin"
+    cli.save_checkpoint(path, params, spec, "seed = 1\n", "ab" * 32, epoch=7, dtype=dtype)
+    meta = ("family = rrntn\nv = 5\ne = 2\nh = 2\nk = 2\npolicy = f\nfactor = 0\n"
+            f"epoch = 7\nvocab_sha256 = {'ab' * 32}\ndtype = {dtype}\n")
+    expect = b"RRNTCKPT" + struct.pack("<I", 1)
+    for block in (b"seed = 1\n", meta.encode("utf-8")):
+        expect += struct.pack("<I", len(block)) + block
+    for name in ("w_emb", "u_slices", "b_slices", "w_out", "b_out"):
+        values = params[name].ravel()
+        expect += struct.pack(f"<{values.size}{code}", *values)
+    assert path.read_bytes() == expect
+
+
+def test_checkpoint_save_and_load_copy_no_block(tmp_path):
+    spec = ModelSpec("rrntn", v=10_000, h=100, k=100)  # w_emb, u_slices, w_out: 8 MB each
+    params = {name: np.full(shape, 0.25) for name, shape in param_shapes(spec).items()}
+    param_bytes = sum(p.nbytes for p in params.values())
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        cli.save_checkpoint(path, params, spec, "", "00" * 32, epoch=1)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = cli.load_checkpoint(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(loaded.params[k], params[k]) for k in params)
+    assert save_peak < 1e6
+    assert load_peak <= param_bytes + 1e6
+
+
 def _damaged_checkpoint(tmp_path, damage):
     spec = ModelSpec("rrntn", v=9, h=3, k=2)
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
@@ -228,7 +270,9 @@ def _damaged_checkpoint(tmp_path, damage):
     (lambda data: data + b"\0" * 5, "5 trailing bytes after parameter block b_out"),
     (lambda data: data.replace(b"family = rrntn", b"family = rrxtn"),
      "unreadable config or meta block"),
-], ids=["header", "payload", "trailing", "meta"])
+    (lambda data: data.replace(b"vocab_sha256 = ", b"vocab_sha999 = "),
+     "unreadable config or meta block"),
+], ids=["header", "payload", "trailing", "meta", "meta-key"])
 def test_eval_rejects_damaged_checkpoint(tmp_path, capsys, damage, block):
     path = _damaged_checkpoint(tmp_path, damage)
     assert cli.main(["eval", str(path), "--split", "test"]) == 3
@@ -417,6 +461,30 @@ def test_bad_value_fails_before_training(prepped, tmp_path, capsys, overrides, e
     assert all(key in captured.err for key in expect)
     assert not (out_dir / "metrics.csv").exists()
     assert not (out_dir / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("key,typo", [("family", "lsmt"), ("policy", "fmd")])
+def test_family_and_policy_checked_when_config_loads(tmp_path, capsys, key, typo):
+    cfgfile = tmp_path / "typo.cfg"
+    cfgfile.write_text(_train_config(tmp_path / "no-corpus", tmp_path / "out", **{key: typo}))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,expect", [
+    (lambda data: struct.pack("<I", 999) + data[4:], "id 999 is outside the vocabulary"),
+    (lambda data: data[:-1], "not a whole number of 4-byte ids"),
+], ids=["id-out-of-range", "odd-length"])
+def test_train_rejects_bad_corpus_ids(prepped, tmp_path, capsys, damage, expect):
+    corpus = _copy_corpus(prepped, tmp_path / "corpus")
+    ids_path = corpus / "train.ids"
+    ids_path.write_bytes(damage(ids_path.read_bytes()))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, tmp_path / "out"))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    assert str(ids_path) in captured.err and expect in captured.err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,6 +5,7 @@ import pytest
 
 from synth import synth_corpus
 from test_gradients import CONFIGS
+import rrntn.evaluation
 from rrntn.corpus import EncodedSplit, chunk_sentences, chunk_stream
 from rrntn.linalg import Rng, clip_by_global_norm, global_norm
 from rrntn.mapping import slice_assignments
@@ -354,6 +355,18 @@ def test_fit_stops_on_plateau(tiny):
     # lr0=0 never improves, so the run must stop after exactly `patience` + 1 epochs
     result = fit(spec, cfg, corpus)
     assert len(result.history) == cfg.patience + 1
+
+
+def test_fit_names_the_epoch_of_a_validation_divergence(tiny, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("non-finite perplexity")
+
+    _, corpus, spec = tiny
+    monkeypatch.setattr(rrntn.evaluation, "perplexity", diverge)
+    with pytest.raises(DivergenceError) as err:
+        fit(spec, small_cfg(max_epochs=2), corpus)
+    assert err.value.epoch == 1
+    assert err.value.window is None  # raised outside the training windows
 
 
 def test_metrics_fields(tiny):
