@@ -204,7 +204,7 @@ class RunConfig:
 
 
 def _write_ids(path: Path, ids: np.ndarray) -> None:
-    path.write_bytes(ids.astype("<u4").tobytes())
+    ids.astype("<u4").tofile(path)
 
 
 def _read_ids(path: Path, v: int) -> np.ndarray:

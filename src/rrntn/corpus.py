@@ -65,23 +65,30 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        words: list[str] = []
+        """Read what save wrote; a malformed line or a repeated word is an
+        error naming the file and the line."""
+        id_of: dict[str, int] = {}
         counts: list[int] = []
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                word, count = line.split("\t")
-                words.append(word)
-                counts.append(int(count))
-        if not words:
+                try:
+                    word, count = line.split("\t")
+                    counts.append(int(count))
+                except ValueError:
+                    raise ValueError(f"vocabulary file {path} line {n}: expected "
+                                     f"'word<TAB>count', got {line!r}") from None
+                if word in id_of:
+                    raise ValueError(f"vocabulary file {path} line {n}: {word!r} is a duplicate")
+                id_of[word] = len(id_of)
+        if not id_of:
             raise EmptyCorpusError(f"vocabulary file {path} is empty")
-        id_of = {w: i for i, w in enumerate(words)}
         if UNK_TOKEN not in id_of:
             raise ValueError(f"vocabulary file {path} lacks {UNK_TOKEN}")
         return cls(
-            words=words,
+            words=list(id_of),
             counts=np.asarray(counts, dtype=np.int64),
             id_of=id_of,
             unk_id=id_of[UNK_TOKEN],

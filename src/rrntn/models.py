@@ -21,10 +21,11 @@ backpropagation through time over one chunk, exact with respect to the
 chunk's summed loss.
 
 Every family is one row of the cell table `_CELLS`: its step and backward
-step, parameter shapes, gradient terms (formed once per chunk by
-`gradient_stage`; the terms on the input rows name the weights `input_stage`
-applies before the time loop), count formula, state arity and the blocks it
-selects per word (a window's touched rows, see `word_rows`). Every sliced
+step, count formula, state arity and one entry per parameter block, naming
+the block once with its axes and gradient term. The axes give its shape and
+whether a word selects it (see `word_rows`); `gradient_stage` forms every
+term once per chunk, and the terms on the input rows name the weights
+`input_stage` applies before the time loop. Every sliced
 recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
 with the slice s chosen per word, `_sliced_backward` returns U[s]^T d. The
 words' slices are looked up once per chunk, in forward_chunk, and kept on
@@ -128,10 +129,16 @@ class InitScheme:
         return cls(kind="uniform", lo=lo, hi=hi, bias=bias)
 
 
+def _dims(spec: ModelSpec) -> dict[str, int]:
+    """The dimension letters of block axes and count formulas (f = factor)."""
+    return {"v": spec.v, "e": spec.e, "h": spec.h, "k": spec.k, "f": spec.factor}
+
+
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Trainable arrays in their canonical (checkpoint) order."""
-    return {"w_emb": (spec.e, spec.v), **_CELLS[spec.family].shapes(spec),
-            "w_out": (spec.v, spec.h), "b_out": (spec.v,)}
+    dims = _dims(spec)
+    cell = {name: tuple(dims[a] for a in axes) for name, axes, _, _ in _CELLS[spec.family].blocks}
+    return {"w_emb": (spec.e, spec.v), **cell, "w_out": (spec.v, spec.h), "b_out": (spec.v,)}
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -141,8 +148,7 @@ def param_count(spec: ModelSpec) -> int:
 
 def param_count_formula(spec: ModelSpec) -> str:
     """The closed form behind param_count, printed alongside every count."""
-    return _CELLS[spec.family].formula.format(v=spec.v, e=spec.e, h=spec.h, k=spec.k,
-                                              f=spec.factor)
+    return _CELLS[spec.family].formula.format(**_dims(spec))
 
 
 def init_params(spec: ModelSpec, init: InitScheme, rng: Rng) -> dict[str, np.ndarray]:
@@ -172,12 +178,18 @@ def _slice_table(spec: ModelSpec) -> np.ndarray:
     return slice_assignments(spec.v, spec.mapping_policy())
 
 
+def _selected_by(axes: str) -> str | None:
+    """How a word selects part of a block: a leading K axis by its slice row,
+    a trailing V axis by its column; None if every word shares the block."""
+    return "slice" if axes[0] == "k" else "word" if axes[-1] == "v" else None
+
+
 def word_rows(spec: ModelSpec, cache: ForwardCache) -> dict[str, object]:
     """Index of the part of each word-selected block a window can move.
 
     A window gives nonzero gradients only to the columns of w_emb (and of
-    the other blocks the cell table selects by word) at its unique input
-    ids, and only to the rows of the per-slice blocks at the slices of
+    the other blocks with a trailing V axis) at its unique input ids, and
+    only to the rows of the blocks with a leading K axis at the slices of
     those ids. Blocks not listed are dense; a block whose whole axis is
     touched maps to `...`, so indexing with it is a view, not a gather.
     """
@@ -185,7 +197,8 @@ def word_rows(spec: ModelSpec, cache: ForwardCache) -> dict[str, object]:
     slices = np.unique(cache.slices)
     index = {"word": ... if words.size == spec.v else (slice(None), words),
              "slice": ... if slices.size == spec.k else slices}
-    return {name: index[by] for name, by in {"w_emb": "word", **_CELLS[spec.family].rows}.items()}
+    blocks = [("w_emb", "ev"), *(block[:2] for block in _CELLS[spec.family].blocks)]
+    return {name: index[by] for name, axes in blocks if (by := _selected_by(axes))}
 
 
 def _sliced_pre(u: np.ndarray, b: np.ndarray, s: np.ndarray, x: np.ndarray,
@@ -215,13 +228,13 @@ def input_stage(params, spec: ModelSpec, inputs: np.ndarray, emb_masks=None):
     inputs is (B, T). Returns (x_in, xw): x_in is the (T, B, E) block of
     embedding rows, multiplied by emb_masks (T, B, E) when given, and xw is
     (n, T, B, H), one x_in @ W.T block per input weight of the cell (its
-    terms on "x_in", in order), each computed as one (T*B, E) product.
+    blocks on "x_in", in order), each computed as one (T*B, E) product.
     """
     b, t_len = inputs.shape
     x_in = params["w_emb"][:, inputs.T.reshape(-1)].T
     if emb_masks is not None:
         x_in = x_in * emb_masks.reshape(t_len * b, spec.e)
-    names = [name for name, _, key in _CELLS[spec.family].terms if key == "x_in"]
+    names = [name for name, _, _, key in _CELLS[spec.family].blocks if key == "x_in"]
     xw = np.empty((len(names), t_len * b, spec.h))
     for j, name in enumerate(names):
         np.matmul(x_in, params[name].T, out=xw[j])
@@ -431,27 +444,26 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     n = cache.inputs.size
     ids = cache.inputs.T.reshape(-1)
     xs = {"x_in": cache.x_in.reshape(n, -1)}  # the (T*B, .) rows each term multiplies
-    for key in {key for _, _, key in cell.terms} - {None, "x_in"}:
+    for key in {key for _, _, _, key in cell.blocks} - {None, "x_in"}:
         xs[key] = np.concatenate([entry[key] for entry in cache.steps])
 
     # the simple families add the embedding straight into pre-activation 0
-    products = (dpre[j] @ params[name] for name, j, key in cell.terms if key == "x_in")
+    products = (dpre[j] @ params[name] for name, _, j, key in cell.blocks if key == "x_in")
     dx_in = reduce(np.add, products) if spec.is_gated else dpre[0]
     if cache.emb_masks is not None:
         dx_in *= cache.emb_masks.reshape(n, -1)
     grads = {"w_emb": _scatter_columns(spec.e, spec.v, ids, dx_in)}
 
-    shapes = cell.shapes(spec)
     slices = cache.slices.reshape(-1)
     order = np.argsort(slices, kind="stable")
     touched, starts = np.unique(slices[order], return_index=True)
     by_slice = list(zip(touched, np.split(order, starts[1:])))
-    for name, j, key in cell.terms:
-        x, by = xs.get(key), cell.rows.get(name)
+    for name, axes, j, key in cell.blocks:
+        x, by, shape = xs.get(key), _selected_by(axes), params[name].shape
         if by == "word":
-            grads[name] = _scatter_columns(*shapes[name], ids, dpre[j] * x)
+            grads[name] = _scatter_columns(*shape, ids, dpre[j] * x)
             continue
-        grads[name] = np.zeros(shapes[name])  # a shared block is one group of all rows
+        grads[name] = np.zeros(shape)  # a shared block is one group of all rows
         for s, r in by_slice if by == "slice" else [(..., slice(None))]:
             grads[name][s] = dpre[j][r].sum(axis=0) if x is None else dpre[j][r].T @ x[r]
     return grads
@@ -509,58 +521,44 @@ def _lstm_backward(params, entry, dstate):
 
 class _Cell(NamedTuple):
     """One family: step(params, s, ids, state, x_in, xw) -> (state, entry),
-    backward(params, entry, dstate) -> (dstate, dpre), the arrays it adds
-    between w_emb and w_out in checkpoint order, its gradient terms (block,
-    j, X): dpre[j]^T X over all rows, X being the input rows "x_in" (these
-    blocks are the input weights, in the order the step unpacks xw) or a step
-    entry's rows, or the row sum for X = None; its count formula, the number
-    of (B, H) arrays in its state, and its blocks selected per input word: by
-    "word" column or by "slice" row."""
+    backward(params, entry, dstate) -> (dstate, dpre), the blocks it adds
+    between w_emb and w_out in checkpoint order, its count formula and the
+    number of (B, H) arrays in its state. A block (name, axes, j, X) has one
+    _dims letter per axis and the gradient dpre[j]^T X over all rows, X being
+    the input rows "x_in" (these blocks are the input weights, in the order
+    the step unpacks xw), a step entry's rows, or None for the row sum."""
 
     step: Callable
     backward: Callable
-    shapes: Callable[[ModelSpec], dict[str, tuple[int, ...]]]
-    terms: tuple[tuple[str, int, str | None], ...]
+    blocks: tuple[tuple[str, str, int, str | None], ...]
     formula: str
     arity: int
-    rows: dict[str, str]
 
 
 def _gated(gates: tuple[str, ...], cand_in: str):
-    """Shapes and terms of a gated cell: each shared gate's W by the input
-    rows, U by the previous state and b by a row sum, then the candidate,
-    whose sliced U multiplies cand_in."""
-    def shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-        h, e, k = spec.h, spec.e, spec.k
-        out: dict[str, tuple[int, ...]] = {}
-        for gate in gates:
-            out.update({f"w_{gate}": (h, e), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
-        return {**out, "w_cand": (h, e), "u_cand_slices": (k, h, h), "b_cand_slices": (k, h)}
+    """Blocks of a gated cell: each shared gate's W by the input rows, U by
+    the previous state and b by a row sum, then the candidate, whose sliced
+    U multiplies cand_in."""
     c = len(gates)
-    return shapes, (*((f"{kind}_{gate}", j, x) for j, gate in enumerate(gates)
-                      for kind, x in (("w", "x_in"), ("u", "h_prev"), ("b", None))),
-                    ("w_cand", c, "x_in"), ("u_cand_slices", c, cand_in),
-                    ("b_cand_slices", c, None))
+    return (*((f"{kind}_{gate}", axes, j, x) for j, gate in enumerate(gates)
+              for kind, axes, x in (("w", "he", "x_in"), ("u", "hh", "h_prev"), ("b", "h", None))),
+            ("w_cand", "he", c, "x_in"), ("u_cand_slices", "khh", c, cand_in),
+            ("b_cand_slices", "kh", c, None))
 
 
-_CAND_ROWS = {"u_cand_slices": "slice", "b_cand_slices": "slice"}
 _CELLS = {
     "rrntn": _Cell(rrntn_step, _rrntn_backward,
-                   lambda sp: {"u_slices": (sp.k, sp.h, sp.h), "b_slices": (sp.k, sp.h)},
-                   (("u_slices", 0, "h_prev"), ("b_slices", 0, None)),
-                   "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1,
-                   {"u_slices": "slice", "b_slices": "slice"}),
+                   (("u_slices", "khh", 0, "h_prev"), ("b_slices", "kh", 0, None)),
+                   "2*V*H + K*H^2 + K*H + V  (V={v}, H={h}, K={k})", 1),
     "mrnn": _Cell(mrnn_step, _mrnn_backward,
-                  lambda sp: {"u_left": (sp.h, sp.factor), "u_right": (sp.factor, sp.h),
-                              "v_factors": (sp.factor, sp.v), "b_h": (sp.h,)},
-                  (("u_left", 0, "r"), ("u_right", 1, "h_prev"), ("v_factors", 2, "q"),
-                   ("b_h", 0, None)),
-                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1, {"v_factors": "word"}),
-    "gru": _Cell(gru_step, _gru_backward, *_gated(("reset", "update"), "rh"),
+                  (("u_left", "hf", 0, "r"), ("u_right", "fh", 1, "h_prev"),
+                   ("v_factors", "fv", 2, "q"), ("b_h", "h", 0, None)),
+                  "2*V*H + F*V + 2*H*F + H + V  (V={v}, H={h}, F={f})", 1),
+    "gru": _Cell(gru_step, _gru_backward, _gated(("reset", "update"), "rh"),
                  "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                 "  (V={v}, E={e}, H={h}, K={k})", 1, _CAND_ROWS),
-    "lstm": _Cell(lstm_step, _lstm_backward, *_gated(("forget", "input", "outgate"), "h_prev"),
+                 "  (V={v}, E={e}, H={h}, K={k})", 1),
+    "lstm": _Cell(lstm_step, _lstm_backward, _gated(("forget", "input", "outgate"), "h_prev"),
                   "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V"
-                  "  (V={v}, E={e}, H={h}, K={k})", 2, _CAND_ROWS),
+                  "  (V={v}, E={e}, H={h}, K={k})", 2),
 }
 FAMILIES = tuple(_CELLS)

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import EncodedCorpus, EncodedSplit, chunk_sentences, chunk_stream
+from .corpus import (
+    CorpusTooSmallError,
+    EncodedCorpus,
+    EncodedSplit,
+    chunk_sentences,
+    chunk_stream,
+)
 from .linalg import Rng, clip_by_global_norm
 from .models import (
     DivergenceError,
@@ -172,6 +178,8 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
         err.epoch = epoch
         err.window = window
         raise
+    if total_tokens == 0:
+        raise CorpusTooSmallError("training split has no predictable tokens")
     train_ppl = float(np.exp(total_loss / total_tokens))
     return EpochMetrics(epoch=epoch, lr=lr, train_ppl=train_ppl,
                         seconds=time.perf_counter() - t0)

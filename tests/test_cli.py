@@ -487,6 +487,49 @@ def test_train_rejects_bad_corpus_ids(prepped, tmp_path, capsys, damage, expect)
     assert str(ids_path) in captured.err and expect in captured.err
 
 
+def test_train_rejects_split_with_nothing_to_predict(prepped, tmp_path, capsys):
+    corpus = _copy_corpus(prepped, tmp_path / "corpus")
+    vocab, _ = cli.load_corpus(corpus)
+    (corpus / "train.ids").write_bytes(struct.pack("<I", vocab.eos_id))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, tmp_path / "out"))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    assert "training split has no predictable tokens" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,expect", [
+    ("plain", "expected 'word<TAB>count'"),
+    ("word\tmany", "expected 'word<TAB>count'"),
+    (None, "is a duplicate"),
+], ids=["no-tab", "bad-count", "duplicate"])
+def test_train_rejects_bad_vocab_line(prepped, tmp_path, capsys, line, expect):
+    corpus = _copy_corpus(prepped, tmp_path / "corpus")
+    vocab_path = corpus / "vocab.tsv"
+    lines = vocab_path.read_text(encoding="utf-8").splitlines()
+    if line is None:  # the first word again, with a count of its own
+        line = lines[0].split("\t")[0] + "\t5"
+    vocab_path.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, tmp_path / "out"))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert f"{vocab_path} line {len(lines) + 1}: " in err and expect in err
+
+
+def test_write_ids_holds_one_copy(tmp_path):
+    ids = np.arange(1_000_000, dtype=np.int64)
+    path = tmp_path / "split.ids"
+    tracemalloc.start()
+    try:
+        cli._write_ids(path, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == 4 * ids.size
+    assert np.array_equal(cli._read_ids(path, ids.size), ids)
+    assert peak < 1.5 * path.stat().st_size
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_code(prepped, tmp_path, capsys):
     cfgfile = tmp_path / "diverge.cfg"

@@ -124,6 +124,64 @@ def test_param_count_formula_mentions_dims():
     assert "V=10" in text and "H=4" in text and "K=2" in text
 
 
+# V=7, H=3, E=4, K=2, F=5: every block's shape in checkpoint order, literally
+_BLOCK_TABLE = {
+    "rrntn": (ModelSpec("rrntn", v=7, h=3, k=2),
+              [("w_emb", (3, 7)), ("u_slices", (2, 3, 3)), ("b_slices", (2, 3))]),
+    "mrnn": (ModelSpec("mrnn", v=7, h=3, factor=5),
+             [("w_emb", (3, 7)), ("u_left", (3, 5)), ("u_right", (5, 3)),
+              ("v_factors", (5, 7)), ("b_h", (3,))]),
+    "gru": (ModelSpec("gru", v=7, h=3, e=4, k=2),
+            [("w_emb", (4, 7)),
+             ("w_reset", (3, 4)), ("u_reset", (3, 3)), ("b_reset", (3,)),
+             ("w_update", (3, 4)), ("u_update", (3, 3)), ("b_update", (3,)),
+             ("w_cand", (3, 4)), ("u_cand_slices", (2, 3, 3)), ("b_cand_slices", (2, 3))]),
+    "lstm": (ModelSpec("lstm", v=7, h=3, e=4, k=2),
+             [("w_emb", (4, 7)),
+              ("w_forget", (3, 4)), ("u_forget", (3, 3)), ("b_forget", (3,)),
+              ("w_input", (3, 4)), ("u_input", (3, 3)), ("b_input", (3,)),
+              ("w_outgate", (3, 4)), ("u_outgate", (3, 3)), ("b_outgate", (3,)),
+              ("w_cand", (3, 4)), ("u_cand_slices", (2, 3, 3)), ("b_cand_slices", (2, 3))]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BLOCK_TABLE))
+def test_param_shapes_pinned_in_checkpoint_order(family):
+    spec, blocks = _BLOCK_TABLE[family]
+    assert list(param_shapes(spec).items()) == [*blocks, ("w_out", (7, 3)), ("b_out", (7,))]
+
+
+@pytest.mark.parametrize("family,by_word,by_slice", [
+    ("rrntn", ["w_emb"], ["u_slices", "b_slices"]),
+    ("mrnn", ["w_emb", "v_factors"], []),
+    ("gru", ["w_emb"], ["u_cand_slices", "b_cand_slices"]),
+    ("lstm", ["w_emb"], ["u_cand_slices", "b_cand_slices"]),
+])
+def test_word_rows_indexes_word_and_slice_blocks(family, by_word, by_slice):
+    # words 1 and 2 (ranks 2 and 3) both sit in slice 1 of K=2 under f, so a
+    # window over them touches neither every word nor every slice
+    spec = _BLOCK_TABLE[family][0]
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(1))
+    _, _, cache, _ = forward_chunk(params, spec, _chunk([2, 1, 2], [1, 2, 0]))
+    rows = word_rows(spec, cache)
+    assert list(rows) == by_word + by_slice
+    for name in by_word:
+        assert rows[name][0] == slice(None) and rows[name][1].tolist() == [1, 2]
+    for name in by_slice:
+        assert rows[name].tolist() == [1]
+
+
+@pytest.mark.parametrize("spec", [
+    *(spec for spec, _ in _BLOCK_TABLE.values()),
+    ModelSpec("rrntn", v=50, h=6, k=5), ModelSpec("mrnn", v=50, h=6, factor=4),
+    ModelSpec("gru", v=50, h=6, e=9, k=5), ModelSpec("lstm", v=50, h=6, e=9, k=5),
+])
+def test_param_count_formula_closed_form_evaluates_to_count(spec):
+    closed_form = param_count_formula(spec).split("  (")[0].replace("^", "**")
+    dims = {"V": spec.v, "E": spec.e, "H": spec.h, "K": spec.k, "F": spec.factor}
+    assert eval(closed_form, {"__builtins__": {}}, dims) == param_count(spec)
+
+
 # ---------------------------------------------------------------------------
 # step functions against scalar hand arithmetic
 

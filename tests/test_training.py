@@ -6,7 +6,7 @@ import pytest
 from synth import synth_corpus
 from test_gradients import CONFIGS
 import rrntn.evaluation
-from rrntn.corpus import EncodedSplit, chunk_sentences, chunk_stream
+from rrntn.corpus import CorpusTooSmallError, EncodedSplit, chunk_sentences, chunk_stream
 from rrntn.linalg import Rng, clip_by_global_norm, global_norm
 from rrntn.mapping import slice_assignments
 from rrntn.models import (
@@ -133,6 +133,14 @@ def test_epoch_with_zero_lr_leaves_params_bitwise(tiny):
     before = copy.deepcopy(params)
     train_epoch(params, spec, cfg, corpus.train, lr=0.0, rng=Rng(2))
     assert all(np.array_equal(before[k], params[k]) for k in params)
+
+
+def test_epoch_on_split_with_nothing_to_predict_raises(tiny):
+    vocab, _, spec = tiny
+    params = init_params(spec, InitScheme.gaussian(0.05), Rng(0))
+    split = EncodedSplit(np.array([vocab.eos_id], dtype=np.int64), np.zeros(1, dtype=np.int64))
+    with pytest.raises(CorpusTooSmallError, match="training split has no predictable tokens"):
+        train_epoch(params, spec, small_cfg(), split, 0.1, Rng(1))
 
 
 def test_epoch_deterministic_with_fixed_seed(tiny):
