@@ -20,7 +20,7 @@ from .corpus import (
 from .evaluation import capacity_report, param_label, perplexity, run_k_sweep
 from .linalg import Rng, clip_by_global_norm, dropout_mask, sample_gaussian, sample_uniform, \
     softmax
-from .mapping import MappingPolicy, map_rank_min, map_rank_mod, slice_histogram
+from .mapping import MappingPolicy, slice_histogram
 from .models import (
     DivergenceError,
     InitScheme,
@@ -41,7 +41,7 @@ __all__ = [
     "capacity_report", "param_label", "perplexity", "run_k_sweep",
     "Rng", "clip_by_global_norm", "dropout_mask",
     "sample_gaussian", "sample_uniform", "softmax",
-    "MappingPolicy", "map_rank_min", "map_rank_mod", "slice_histogram",
+    "MappingPolicy", "slice_histogram",
     "DivergenceError", "InitScheme", "ModelSpec", "backward_chunk",
     "forward_chunk", "init_params", "param_count", "param_count_formula",
     "EpochMetrics", "TrainConfig", "fit", "grad_check", "schedule_step", "sgd_apply",

@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .linalg import Rng
 from .mapping import POLICY_NAMES
-from .models import FAMILIES, DivergenceError, ModelSpec, param_shapes
+from .models import CELL_AXES, FAMILIES, DivergenceError, ModelSpec, param_shapes
 from .training import REGIMES, TrainConfig, fit, grad_check
 
 _CKPT_MAGIC = b"RRNTCKPT"
@@ -140,9 +140,10 @@ _MRNN_FACTOR = 100  # m-RNN factor size when none is given
 
 def _build_spec(v: int, family: str, factor: int | None = None, **fields) -> ModelSpec:
     """The ModelSpec a config file or the spec flags describe. Fields given
-    as None take ModelSpec's defaults; the factor size is the m-RNN's alone."""
+    as None take ModelSpec's defaults; a factor size is kept only for a cell
+    with a factor axis."""
     fields = {name: value for name, value in fields.items() if value is not None}
-    if family == "mrnn":
+    if "f" in CELL_AXES[family]:
         fields["factor"] = _MRNN_FACTOR if factor is None else factor
     try:
         return ModelSpec(family=family, v=v, **fields)
@@ -380,9 +381,8 @@ def cmd_train(args) -> int:
     result = fit(spec, cfg.train, corpus, log=log)
     (out_dir / "metrics.csv").write_text(
         _metrics_csv(result.history, cfg.timing), encoding="utf-8")
-    best_epoch = result.best_epoch if result.best_epoch >= 0 else 0
     save_checkpoint(out_dir / "checkpoint.bin", result.params, spec, cfg.text,
-                    vocab_sha256(cfg.corpus_dir), best_epoch, dtype=cfg.checkpoint_dtype)
+                    vocab_sha256(cfg.corpus_dir), result.best_epoch, dtype=cfg.checkpoint_dtype)
     test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=cfg.train.t_bptt)
     print(_conventions(vocab))
     print(f"test PPL = {test_ppl:.6f}")

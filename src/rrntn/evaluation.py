@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import EncodedCorpus, EncodedSplit, chunk_sentences
-from .models import DivergenceError, ModelSpec, forward_chunk, param_count, param_count_formula
+from .models import (CELL_AXES, DivergenceError, ModelSpec, forward_chunk, param_count,
+                     param_count_formula)
 from .training import TrainConfig, fit
 
 
@@ -131,9 +132,9 @@ def format_capacity_table(rows: list[CapacityRow]) -> str:
     for r in rows:
         s = r.spec
         name = f"{s.family} V={s.v} H={s.h} K={s.k}"
-        if s.family == "mrnn":
+        if "f" in CELL_AXES[s.family]:
             name += f" F={s.factor}"
-        if s.is_gated or s.e != s.h:
+        if "e" in CELL_AXES[s.family]:
             name += f" E={s.e}"
         lines.append(f"{name:40s} {r.count:>12,d}  {r.label:>7s}  {r.formula}")
     return "\n".join(lines)

@@ -47,17 +47,6 @@ class MappingPolicy:
         return int(out) if out.ndim == 0 else out
 
 
-def map_rank_min(rank, k: int):
-    """Slice for the rank-threshold policy: dedicated slices for ranks
-    1..K-1, the last slice shared by every rank >= K."""
-    return MappingPolicy("f", k).slices(rank)
-
-
-def map_rank_mod(rank, k: int):
-    """Slice for the pseudo-random modulus policy: rank mod K."""
-    return MappingPolicy("fmod", k).slices(rank)
-
-
 def slice_assignments(v: int, policy: MappingPolicy) -> np.ndarray:
     """Per-word slice index, indexed by token id.
 

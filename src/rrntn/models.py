@@ -9,8 +9,8 @@ matrix.
 
 Conventions:
   - the embedding matrix is (E, V) and applying it to a one-hot input is a
-    column lookup, never a dense product; the simple family requires E = H
-    because the lookup feeds the pre-activation directly
+    column lookup, never a dense product; a cell without input weights
+    requires E = H because the lookup feeds the pre-activation directly
   - token ids equal rank - 1 (see corpus), so a word's tensor slice is the
     mapping policy applied to id + 1
   - the step consuming input w_t predicts w_{t+1}
@@ -23,13 +23,15 @@ chunk's summed loss.
 Every family is one row of the cell table `_CELLS`: its step and backward
 step, count formula, state arity and one entry per parameter block, naming
 the block once with its axes and gradient term. The axes give its shape and
-whether a word selects it (see `word_rows`); `gradient_stage` forms every
-term once per chunk, and the terms on the input rows name the weights
-`input_stage` applies before the time loop. Every sliced
-recurrence goes through one primitive pair: `_sliced_pre` adds U[s] x + b[s]
-with the slice s chosen per word, `_sliced_backward` returns U[s]^T d. The
-words' slices are looked up once per chunk, in forward_chunk, and kept on
-its cache for the steps, gradient_stage and word_rows.
+whether a word selects it (see `word_rows`). The letters a row's blocks name
+(`CELL_AXES`) decide every family rule: e for input weights, k for slices,
+f for a factor. `gradient_stage` forms every term once per chunk, and the
+terms on the input rows name the weights `input_stage` applies before the
+time loop. Every sliced recurrence goes through one primitive pair:
+`_sliced_pre` adds U[s] x + b[s] with the slice s chosen per word,
+`_sliced_backward` returns U[s]^T d. The words' slices are looked up once
+per chunk, in forward_chunk, and kept on its cache for the steps,
+gradient_stage and word_rows.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ import numpy as np
 from .corpus import SequenceChunk
 from .linalg import Rng, dropout_mask, sample_gaussian, sample_uniform, softmax
 from .mapping import MappingPolicy, slice_assignments
-
-GATED = ("gru", "lstm")
 
 
 class DivergenceError(RuntimeError):
@@ -78,26 +78,21 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.v < 1 or self.h < 1:
-            raise ValueError("V and H must be positive")
         if self.e is None:
             object.__setattr__(self, "e", self.h)
-        if self.family in ("rrntn", "mrnn") and self.e != self.h:
-            raise ValueError("the simple family adds the embedding straight into the "
-                             "pre-activation, so E must equal H")
-        if self.family == "mrnn":
-            if self.factor < 1:
-                raise ValueError("m-RNN needs a positive factor size")
-            if self.k != 1:
-                raise ValueError("m-RNN does not use recurrence slices; leave K = 1")
+        # Every dimension is at least 1, and one the cell's blocks do not
+        # name keeps its neutral value: E = H, K = 1, no factor.
+        neutral = {"e": self.h, "k": 1, "f": 0}
+        for letter, n in _dims(self).items():
+            if letter in CELL_AXES[self.family] or letter not in neutral:
+                if n < 1:
+                    raise ValueError(f"{letter.upper()} must be at least 1; got {n}")
+            elif n != neutral[letter]:
+                raise ValueError(f"{self.family} has no {_WITHOUT[letter]}; got {n}")
         self.mapping_policy().validate_for(self.v)
 
     def mapping_policy(self) -> MappingPolicy:
         return MappingPolicy(self.policy, self.k)
-
-    @property
-    def is_gated(self) -> bool:
-        return self.family in GATED
 
 
 @dataclass(frozen=True)
@@ -132,6 +127,10 @@ class InitScheme:
 def _dims(spec: ModelSpec) -> dict[str, int]:
     """The dimension letters of block axes and count formulas (f = factor)."""
     return {"v": spec.v, "e": spec.e, "h": spec.h, "k": spec.k, "f": spec.factor}
+
+
+_WITHOUT = {"e": "input weights, so E must equal H", "k": "recurrence slices, so K must be 1",
+            "f": "factor, so F must be 0"}
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
@@ -336,9 +335,10 @@ def forward_chunk(
     loss_sum is the summed negative log-likelihood of the chunk's targets.
     The incoming state is zeroed when the chunk asks for a reset. In train
     mode with p_drop > 0, dropout masks are drawn from rng per timestep:
-    the simple family masks only the hidden state entering the output layer,
-    the gated families mask the embedding output as well; recurrent
-    connections are never masked. A non-finite step loss raises
+    every cell masks the hidden state entering the output layer, and one
+    that reads the embedding through input weights (its blocks name E)
+    masks the embedding output as well; recurrent connections are never
+    masked. A non-finite step loss raises
     DivergenceError with the first such timestep, its first such lane and
     that lane's input word.
     """
@@ -359,12 +359,13 @@ def forward_chunk(
         # Every mask of the chunk, drawn before the loop in the fixed order
         # (emb_0, out_0, emb_1, out_1, ...). The stream is counter-based, so
         # one draw per step for both masks gives the same bits as two.
-        e_width = b * spec.e if spec.is_gated else 0
+        masks_emb = "e" in CELL_AXES[spec.family]
+        e_width = b * spec.e if masks_emb else 0
         masks = np.empty((t_len, e_width + b * spec.h))
         for t in range(t_len):
             masks[t] = dropout_mask(rng, masks.shape[1], p_drop)
         out_masks = masks[:, e_width:].reshape(t_len, b, spec.h)
-        if spec.is_gated:
+        if masks_emb:
             emb_masks = masks[:, :e_width].reshape(t_len, b, spec.e)
     # The input projections run once before the loop and the output layer
     # once after it, each over all T*B rows; the loop runs the recurrence.
@@ -447,9 +448,9 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     for key in {key for _, _, _, key in cell.blocks} - {None, "x_in"}:
         xs[key] = np.concatenate([entry[key] for entry in cache.steps])
 
-    # the simple families add the embedding straight into pre-activation 0
+    # a cell without input weights adds the embedding straight into pre-activation 0
     products = (dpre[j] @ params[name] for name, _, j, key in cell.blocks if key == "x_in")
-    dx_in = reduce(np.add, products) if spec.is_gated else dpre[0]
+    dx_in = reduce(np.add, products) if "e" in CELL_AXES[spec.family] else dpre[0]
     if cache.emb_masks is not None:
         dx_in *= cache.emb_masks.reshape(n, -1)
     grads = {"w_emb": _scatter_columns(spec.e, spec.v, ids, dx_in)}
@@ -562,3 +563,8 @@ _CELLS = {
                   "  (V={v}, E={e}, H={h}, K={k})", 2),
 }
 FAMILIES = tuple(_CELLS)
+# The dimension letters each cell's blocks name, the one source of every
+# family rule: e means input weights read the embedding, k recurrence
+# slices, f a factor.
+CELL_AXES = {family: frozenset("".join(b[1] for b in cell.blocks))
+             for family, cell in _CELLS.items()}

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValueError("lr0 must be non-negative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1; got {self.max_epochs}")
         if self.halving_ratio <= 1.0:
             raise ValueError("halving_ratio must exceed 1")
         if self.t_bptt < 1 or self.batch < 1:
@@ -206,7 +208,7 @@ def fit(spec: ModelSpec, cfg: TrainConfig, corpus: EncodedCorpus,
 
     root = Rng(cfg.seed)
     params = init_params(spec, cfg.init, root.derive(0))
-    result = FitResult(params=copy.deepcopy(params))
+    result = FitResult(params=params)  # epoch 1 replaces these: its perplexity is finite or raises
     lr = cfg.lr0
     plateau = 0
     prev_valid = None

@@ -298,6 +298,26 @@ def test_count_params_labels(argv, expect, capsys):
     assert "V=" in out  # formula echoed
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--family", "rrntn", "--v", "10000", "--hidden", "100", "--k", "100"],
+     "rrntn V=10000 H=100 K=100                   3,020,000       3M  "
+     "2*V*H + K*H^2 + K*H + V  (V=10000, H=100, K=100)"),
+    (["--family", "mrnn", "--v", "10000", "--hidden", "100"],
+     "mrnn V=10000 H=100 K=1 F=100                3,030,100       3M  "
+     "2*V*H + F*V + 2*H*F + H + V  (V=10000, H=100, F=100)"),
+    (["--family", "gru", "--v", "10000", "--hidden", "244", "--embed", "650", "--k", "100"],
+     "gru V=10000 H=244 K=100 E=650              15,523,360    15.5M  "
+     "E*V + 3*H*E + 2*(H^2 + H) + K*(H^2 + H) + V*H + V  (V=10000, E=650, H=244, K=100)"),
+    # E is printed for a cell with input weights even when it equals H
+    (["--family", "lstm", "--v", "10000", "--hidden", "254", "--embed", "254", "--k", "100"],
+     "lstm V=10000 H=254 K=100 E=254             12,019,374      12M  "
+     "E*V + 4*H*E + 3*(H^2 + H) + K*(H^2 + H) + V*H + V  (V=10000, E=254, H=254, K=100)"),
+], ids=["rrntn", "mrnn", "gru", "lstm"])
+def test_count_params_prints_exact_line(argv, line, capsys):
+    assert cli.main(["count-params", *argv]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_count_params_rejects_bad_combo(capsys):
     rc = cli.main(["count-params", "--family", "rrntn", "--v", "10",
                    "--hidden", "4", "--k", "50"])
@@ -461,6 +481,21 @@ def test_bad_value_fails_before_training(prepped, tmp_path, capsys, overrides, e
     assert all(key in captured.err for key in expect)
     assert not (out_dir / "metrics.csv").exists()
     assert not (out_dir / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("overrides,expect", [
+    ({"family": "lstm", "embed": "0"}, "E must be at least 1; got 0"),
+    ({"family": "lstm", "embed": "-2"}, "E must be at least 1; got -2"),
+    ({"max_epochs": "0"}, "max_epochs must be at least 1; got 0"),
+], ids=["lstm-embed-0", "lstm-embed-negative", "max-epochs-0"])
+def test_out_of_range_embed_or_epochs_exits_1(prepped, tmp_path, capsys, overrides, expect):
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(_train_config(prepped, out_dir, **overrides))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and expect in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("key,typo", [("family", "lsmt"), ("policy", "fmd")])

@@ -3,44 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrntn.mapping import (
-    MappingPolicy,
-    map_rank_min,
-    map_rank_mod,
-    slice_assignments,
-    slice_histogram,
-)
+from rrntn.mapping import MappingPolicy, slice_assignments, slice_histogram
 
 
 def test_rank_min_examples():
-    assert map_rank_min(1, 100) == 0
-    assert map_rank_min(150, 100) == 99
-    assert map_rank_min(57, 1) == 0  # K=1 collapses everything onto one slice
+    assert MappingPolicy("f", 100).slices(1) == 0
+    assert MappingPolicy("f", 100).slices(150) == 99
+    assert MappingPolicy("f", 1).slices(57) == 0  # K=1 collapses everything onto one slice
 
 
 def test_rank_min_rejects_bad_rank():
     with pytest.raises(ValueError):
-        map_rank_min(0, 10)
+        MappingPolicy("f", 10).slices(0)
 
 
 def test_rank_mod_examples():
-    assert map_rank_mod(150, 100) == 50
-    assert map_rank_mod(100, 100) == 0
-    assert map_rank_mod(12345, 1) == 0
+    assert MappingPolicy("fmod", 100).slices(150) == 50
+    assert MappingPolicy("fmod", 100).slices(100) == 0
+    assert MappingPolicy("fmod", 1).slices(12345) == 0
 
 
 @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=500))
 @settings(max_examples=100)
 def test_both_policies_land_in_range(rank, k):
-    assert 0 <= map_rank_min(rank, k) < k
-    assert 0 <= map_rank_mod(rank, k) < k
+    assert 0 <= MappingPolicy("f", k).slices(rank) < k
+    assert 0 <= MappingPolicy("fmod", k).slices(rank) < k
 
 
 @given(st.integers(min_value=1, max_value=500))
 @settings(max_examples=50)
 def test_rank_min_monotone_and_surjective(k):
     ranks = np.arange(1, k + 101)
-    out = map_rank_min(ranks, k)
+    out = MappingPolicy("f", k).slices(ranks)
     assert np.all(np.diff(out) >= 0)
     assert set(out.tolist()) == set(range(k))
 
@@ -48,19 +42,20 @@ def test_rank_min_monotone_and_surjective(k):
 def test_rank_min_is_identity_at_k_equals_v():
     v = 37
     ranks = np.arange(1, v + 1)
-    assert np.array_equal(map_rank_min(ranks, v), ranks - 1)
+    assert np.array_equal(MappingPolicy("f", v).slices(ranks), ranks - 1)
 
 
 def test_policies_coincide_at_k_one():
     ranks = np.arange(1, 200)
-    assert np.array_equal(map_rank_min(ranks, 1), map_rank_mod(ranks, 1))
+    assert np.array_equal(MappingPolicy("f", 1).slices(ranks),
+                          MappingPolicy("fmod", 1).slices(ranks))
 
 
 def test_policies_are_bijections_at_k_equals_v():
     v = 29
     ranks = np.arange(1, v + 1)
-    assert sorted(map_rank_min(ranks, v).tolist()) == list(range(v))
-    assert sorted(map_rank_mod(ranks, v).tolist()) == list(range(v))
+    assert sorted(MappingPolicy("f", v).slices(ranks).tolist()) == list(range(v))
+    assert sorted(MappingPolicy("fmod", v).slices(ranks).tolist()) == list(range(v))
 
 
 def test_histogram_rank_min_closed_form():

@@ -56,6 +56,30 @@ def test_spec_k_bounds_and_identity():
     ModelSpec("rrntn", v=10, h=4, k=10, policy="identity")  # fine
 
 
+@pytest.mark.parametrize("fields,expect", [
+    (dict(family="lstm", v=10, h=4, e=0), "E must be at least 1; got 0"),
+    (dict(family="gru", v=10, h=4, e=-2), "E must be at least 1; got -2"),
+    (dict(family="lstm", v=10, h=0, e=4), "H must be at least 1; got 0"),
+    (dict(family="rrntn", v=10, h=0), "H must be at least 1; got 0"),
+    (dict(family="rrntn", v=0, h=4), "V must be at least 1; got 0"),
+    (dict(family="gru", v=10, h=4, e=3, k=0), "K must be at least 1; got 0"),
+    (dict(family="mrnn", v=10, h=4, factor=0), "F must be at least 1; got 0"),
+    (dict(family="mrnn", v=10, h=4, factor=3, k=2), "so K must be 1; got 2"),
+    (dict(family="rrntn", v=10, h=4, e=6), "so E must equal H; got 6"),
+    (dict(family="mrnn", v=10, h=4, e=6, factor=3), "so E must equal H; got 6"),
+    (dict(family="rrntn", v=10, h=4, factor=3), "so F must be 0; got 3"),
+    (dict(family="gru", v=10, h=4, e=3, factor=3), "so F must be 0; got 3"),
+    (dict(family="lstm", v=10, h=4, e=3, factor=3), "so F must be 0; got 3"),
+], ids=["lstm-E0", "gru-E-2", "lstm-H0", "rrntn-H0", "rrntn-V0", "gru-K0", "mrnn-F0",
+        "mrnn-K2", "rrntn-E", "mrnn-E", "rrntn-F", "gru-F", "lstm-F"])
+def test_spec_dimension_rule(fields, expect):
+    # every dimension is at least 1; one a cell does not name keeps its
+    # neutral value (E = H without input weights, K = 1 without slices,
+    # factor 0 without a factor)
+    with pytest.raises(ValueError, match=expect):
+        ModelSpec(**fields)
+
+
 def test_init_zero_stddev_gives_zero_params():
     spec = ModelSpec("rrntn", v=6, h=3, k=2)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
@@ -500,16 +524,22 @@ def test_hoisted_output_stage_matches_per_step_definition(spec, batch, p_drop):
 @pytest.mark.parametrize("spec, batch", [
     (ModelSpec("rrntn", v=13, h=5, k=3), 1),
     (ModelSpec("lstm", v=13, h=5, e=4, k=3), 3),
+    (ModelSpec("mrnn", v=13, h=5, factor=4), 3),
+    (ModelSpec("gru", v=13, h=5, e=4, k=3), 2),
 ])
 def test_dropout_masks_keep_interleaved_draw_order(spec, batch):
     # the masks are drawn before the loop, but must be the per-step draws
-    # (emb_0, out_0, emb_1, out_1, ...) and leave the stream where they did
+    # (emb_0, out_0, emb_1, out_1, ...) and leave the stream where they did;
+    # only gru and lstm, which read the embedding through input weights,
+    # draw an embedding mask
     params, chunk = _dropout_case(spec, batch)
     rng = Rng(2)
     _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=rng, p_drop=0.3)
     fresh = Rng(2)
+    masks_embedding = spec.family in ("gru", "lstm")
+    assert (cache.emb_masks is not None) == masks_embedding
     for t in range(chunk.inputs.shape[1]):
-        if spec.is_gated:
+        if masks_embedding:
             emb = dropout_mask(fresh, batch * spec.e, 0.3).reshape(batch, spec.e)
             assert np.array_equal(cache.emb_masks[t], emb)
         out = dropout_mask(fresh, batch * spec.h, 0.3).reshape(batch, spec.h)

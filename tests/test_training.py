@@ -314,13 +314,12 @@ def test_gated_regime_runs_on_stream(tiny):
 # fit
 
 
-def test_fit_zero_epochs_returns_init(tiny):
+def test_config_rejects_zero_epochs(tiny):
+    # a run trains at least one epoch, so epoch 1 is always a best epoch
+    with pytest.raises(ValueError, match="max_epochs must be at least 1; got 0"):
+        small_cfg(max_epochs=0)
     _, corpus, spec = tiny
-    cfg = small_cfg(max_epochs=0)
-    result = fit(spec, cfg, corpus)
-    expected = init_params(spec, cfg.init, Rng(cfg.seed).derive(0))
-    assert result.history == []
-    assert all(np.array_equal(result.params[k], expected[k]) for k in expected)
+    assert fit(spec, small_cfg(max_epochs=1), corpus).best_epoch == 1
 
 
 def test_fit_selects_best_validation_epoch(tiny):
