@@ -106,6 +106,8 @@ def build_vocab(tokens, min_count: int = 1, max_size: int | None = None) -> Voca
     """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be at least 1; got {max_size}")
     counts = Counter(tokens)
     if not counts:
         raise EmptyCorpusError("token stream is empty")

@@ -189,13 +189,9 @@ def word_rows(spec: ModelSpec, cache: ForwardCache) -> dict[str, object]:
     A window gives nonzero gradients only to the columns of w_emb (and of
     the other blocks with a trailing V axis) at its unique input ids, and
     only to the rows of the blocks with a leading K axis at the slices of
-    those ids. Blocks not listed are dense; a block whose whole axis is
-    touched maps to `...`, so indexing with it is a view, not a gather.
+    those ids. Blocks not listed are dense.
     """
-    words = np.unique(cache.inputs)
-    slices = np.unique(cache.slices)
-    index = {"word": ... if words.size == spec.v else (slice(None), words),
-             "slice": ... if slices.size == spec.k else slices}
+    index = {"word": (slice(None), np.unique(cache.inputs)), "slice": np.unique(cache.slices)}
     blocks = [("w_emb", "ev"), *(block[:2] for block in _CELLS[spec.family].blocks)]
     return {name: index[by] for name, axes in blocks if (by := _selected_by(axes))}
 
@@ -312,7 +308,6 @@ class ForwardCache:
     inputs: np.ndarray
     targets: np.ndarray
     slices: np.ndarray  # (T, B) slice of each input word, looked up once per chunk
-    state_in: tuple[np.ndarray, ...]
     steps: list[dict] = field(default_factory=list)
     x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
     emb_masks: np.ndarray | None = None  # (T, B, E), or None without embedding dropout
@@ -373,7 +368,7 @@ def forward_chunk(
     hd = np.empty((t_len, b, spec.h))
     slices = _slice_table(spec)[chunk.inputs.T]
     cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices,
-                         state_in=state_in, x_in=x_in, emb_masks=emb_masks, hd=hd,
+                         x_in=x_in, emb_masks=emb_masks, hd=hd,
                          out_masks=[None] * t_len if out_masks is None else list(out_masks))
     state = state_in
     for t in range(t_len):

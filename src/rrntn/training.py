@@ -154,8 +154,10 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     included as incurred. In the gated regime gradients are averaged over
     the batch lanes before clipping so the clip threshold and learning rate
     keep their per-lane meaning. Each window's word-selected gradients are
-    gathered down to the rows its words touched (models.word_rows), so
-    averaging, clipping and the update skip the rows that are exactly zero.
+    gathered in place down to the rows its words touched (models.word_rows),
+    so averaging, clipping and the update skip the rows that are exactly
+    zero. One window is held at a time: its cache goes once word_rows has
+    read it and its gradients once the update has used them.
     """
     t0 = time.perf_counter()
     total_loss = 0.0
@@ -167,13 +169,16 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
             grads, _ = backward_chunk(params, spec, cache)
             rows = word_rows(spec, cache)
-            grads = {name: g[rows.get(name, ...)] for name, g in grads.items()}
+            del cache
+            for name, index in rows.items():  # each dense block goes once its rows are copied
+                grads[name] = grads[name][index]
             if cfg.batch > 1:
-                for g in grads.values():
-                    g /= cfg.batch
+                for name in grads:  # by key, so no loop variable outlives the window
+                    grads[name] /= cfg.batch
             if cfg.clip_norm is not None:
                 clip_by_global_norm(grads.values(), cfg.clip_norm)
             sgd_apply(params, grads, lr, rows)
+            del grads  # nothing of this window is held into the next one
             total_loss += loss
             total_tokens += count
     except DivergenceError as err:

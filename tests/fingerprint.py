@@ -1,0 +1,147 @@
+"""Bit-identity fingerprint of the model and trainer: one SHA-256 per config.
+
+Run from a source checkout, against the package on PYTHONPATH:
+
+    PYTHONPATH=src python tests/fingerprint.py
+
+Two trees compute the same numbers, bit for bit, exactly when this script
+prints the same digests for both (point PYTHONPATH at the other tree's src
+to compare). Each config's digest covers, in order:
+
+  - param_shapes, param_count and param_count_formula;
+  - init_params under a gaussian and a uniform scheme;
+  - eval and train forward (p_drop 0.3) over two chunks at B=1 and B=20,
+    the second carrying the first's state: loss, token count, outgoing
+    state and probabilities;
+  - word_rows of the last train chunk, hashed as the element numbers each
+    index selects, so equal selections hash equally whatever index form
+    they take;
+  - backward_chunk of that chunk with an incoming state gradient: every
+    gradient block and the outgoing state gradient;
+  - the parameters and train_ppl after one train_epoch per regime, each
+    over at least three windows with dropout on; the gated epoch's clip
+    norm is small enough that some of its windows clip.
+
+It calls only public functions that older trees have too, so it runs
+unchanged against them. Not collected by pytest.
+"""
+
+import hashlib
+from math import prod
+
+import numpy as np
+
+import rrntn.training
+from rrntn.corpus import EncodedSplit, SequenceChunk, chunk_sentences, chunk_stream
+from rrntn.linalg import Rng
+from rrntn.models import (
+    InitScheme,
+    ModelSpec,
+    backward_chunk,
+    forward_chunk,
+    init_params,
+    param_count,
+    param_count_formula,
+    param_shapes,
+    word_rows,
+)
+from rrntn.training import TrainConfig, train_epoch
+from test_gradients import CONFIGS
+
+SPECS = {**CONFIGS,
+         "rrntn_fmod": ModelSpec("rrntn", v=16, h=6, k=4, policy="fmod"),
+         "rrntn_identity": ModelSpec("rrntn", v=12, h=4, k=12, policy="identity")}
+INIT = InitScheme.uniform(-0.5, 0.5)
+
+
+def feed(h, *items) -> None:
+    """Hash arrays by dtype, shape and bytes; floats by their exact repr."""
+    for x in items:
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, (tuple, list)):
+            feed(h, *x)
+        elif isinstance(x, dict):
+            for key, value in x.items():
+                feed(h, key, value)
+        else:
+            h.update(repr(x).encode())
+
+
+def ids(rng: Rng, n: int, v: int) -> np.ndarray:
+    return (rng.uniform01(n) * v).astype(np.int64)
+
+
+def forward_pair(h, params, spec, batch, mode):
+    """Two (batch, 6) chunks, the second carrying the first's state."""
+    stream = ids(Rng(batch), batch * 13, spec.v).reshape(batch, 13)
+    state = None
+    for n, (lo, hi) in enumerate(((0, 6), (6, 12))):
+        chunk = SequenceChunk(stream[:, lo:hi], stream[:, lo + 1:hi + 1], reset_before=n == 0)
+        loss, count, cache, state = forward_chunk(params, spec, chunk, state, mode=mode,
+                                                  rng=Rng(10 + n), p_drop=0.3)
+        feed(h, loss, count, state, cache.probs)
+    return cache, state
+
+
+def epoch(h, spec, cfg, split, windows):
+    assert sum(1 for _ in windows) >= 3
+    params = init_params(spec, cfg.init, Rng(5))
+    metrics = train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    feed(h, params, metrics.train_ppl)
+
+
+def fingerprint(spec: ModelSpec) -> tuple[str, int]:
+    """The config's digest and the number of gated windows that clipped."""
+    h = hashlib.sha256()
+    feed(h, param_shapes(spec), param_count(spec), param_count_formula(spec))
+    feed(h, init_params(spec, InitScheme.gaussian(0.1), Rng(1)))
+    params = init_params(spec, INIT, Rng(1))
+    feed(h, params)
+
+    for batch in (1, 20):
+        forward_pair(h, params, spec, batch, "eval")
+        cache, state = forward_pair(h, params, spec, batch, "train")
+        shapes = param_shapes(spec)
+        feed(h, {name: np.arange(prod(shapes[name])).reshape(shapes[name])[index]
+                 for name, index in word_rows(spec, cache).items()})
+        dstate_in = tuple(Rng(20 + j).uniform01(s.size).reshape(s.shape) - 0.5
+                          for j, s in enumerate(state))
+        feed(h, backward_chunk(params, spec, cache, dstate_in))
+
+    sentences = EncodedSplit(ids(Rng(7), 30, spec.v), np.array([0, 7, 15, 22], dtype=np.int64))
+    simple = TrainConfig.simple(seed=0, t_bptt=5, lr0=0.5, p_drop=0.3, init=INIT)
+    epoch(h, spec, simple, sentences, chunk_sentences(sentences, simple.t_bptt))
+
+    stream = EncodedSplit(ids(Rng(8), 51, spec.v), np.zeros(0, dtype=np.int64))
+    gated = TrainConfig.gated(seed=0, t_bptt=4, batch=3, lr0=0.5, p_drop=0.3, clip_norm=1.2,
+                              init=INIT)
+    factors = []
+    clip = rrntn.training.clip_by_global_norm
+
+    def counting_clip(arrays, max_norm):
+        out = clip(arrays, max_norm)
+        factors.append(out[1])
+        return out
+
+    rrntn.training.clip_by_global_norm = counting_clip
+    try:
+        epoch(h, spec, gated, stream, chunk_stream(stream, gated.t_bptt, gated.batch))
+    finally:
+        rrntn.training.clip_by_global_norm = clip
+    return h.hexdigest(), sum(f < 1.0 for f in factors)
+
+
+def main() -> None:
+    overall = hashlib.sha256()
+    for name, spec in SPECS.items():
+        digest, clipped = fingerprint(spec)
+        assert clipped > 0, f"{name}: no gated window clipped"
+        overall.update(digest.encode())
+        print(f"{name:16s} {digest}  (gated windows clipped: {clipped})")
+    print(f"{'overall':16s} {overall.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

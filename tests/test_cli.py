@@ -102,6 +102,17 @@ def test_prep_text8_mode(tmp_path, capsys):
     assert UNK_TOKEN in vocab.words
 
 
+def test_prep_negative_max_size_exits_1(ptb_dir, tmp_path, capsys):
+    # a negative bound would slice the rarest words off the vocabulary
+    root, _ = ptb_dir
+    out = tmp_path / "prep"
+    rc = cli.main(["prep", "--format", "ptb", "--input", str(root), "--out", str(out),
+                   "--max-size", "-1"])
+    assert rc == 1
+    assert re.fullmatch(r"error: .*max_size.*\n", capsys.readouterr().err)
+    assert not (out / "vocab.tsv").exists()
+
+
 def test_prep_missing_input_is_io_error(tmp_path, capsys):
     rc = cli.main(["prep", "--format", "text8", "--input", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o")])

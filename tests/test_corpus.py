@@ -58,6 +58,12 @@ def test_build_vocab_max_size():
     assert vocab.freq_of(UNK_TOKEN) == 3
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_build_vocab_rejects_max_size_below_one(max_size):
+    with pytest.raises(ValueError, match=f"max_size must be at least 1; got {max_size}"):
+        build_vocab(["a", "b", "c"], max_size=max_size)
+
+
 def test_build_vocab_literal_unk_merges():
     tokens = ["a", "a", UNK_TOKEN, UNK_TOKEN, "b"]
     vocab = build_vocab(tokens, min_count=2)

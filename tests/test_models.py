@@ -24,6 +24,7 @@ from rrntn.models import (
     param_shapes,
     rrntn_step,
     word_rows,
+    zero_state,
 )
 
 
@@ -582,7 +583,7 @@ def test_hoisted_input_stage_matches_per_step_definition(family, batch, p_drop):
     params, chunk = _dropout_case(spec, batch)
     loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
                                       p_drop=p_drop)
-    state = cache.state_in
+    state = zero_state(spec, batch)  # the chunk resets its state
     b_idx = np.arange(batch)
     replay = 0.0
     for t, entry in enumerate(cache.steps):

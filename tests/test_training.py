@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,27 @@ def test_gated_regime_runs_on_stream(tiny):
     params = init_params(spec, cfg.init, Rng(5))
     metrics = train_epoch(params, spec, cfg, stream, lr=cfg.lr0, rng=Rng(6))
     assert np.isfinite(metrics.train_ppl)
+
+
+def test_window_memory_does_not_carry_over():
+    # an epoch's peak is one window's: nothing of window w (its cache, its
+    # dense or compact gradients) is still held through window w+1
+    spec = ModelSpec("lstm", v=2000, h=64, e=96, k=20)
+    cfg = TrainConfig.gated(seed=0, lr0=0.0)
+    params = init_params(spec, cfg.init, Rng(0))
+    window = cfg.batch * cfg.t_bptt
+    ids = (Rng(3).uniform01(2 * window + cfg.batch) * spec.v).astype(np.int64)
+
+    def peak(windows):
+        split = EncodedSplit(ids[: windows * window + cfg.batch], np.zeros(0, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2) <= 1.05 * peak(1)
 
 
 # ---------------------------------------------------------------------------
