@@ -250,8 +250,6 @@ def _find_split_file(input_dir: Path, name: str) -> Path:
 
 
 def cmd_prep(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "ptb":
         input_dir = Path(args.input)
         sentences = {name: read_sentences(_find_split_file(input_dir, name))
@@ -266,6 +264,8 @@ def cmd_prep(args) -> int:
         vocab = build_vocab(train, min_count=args.min_count, max_size=args.max_size)
         encoded = {"train": encode(vocab, train), "valid": encode(vocab, valid),
                    "test": encode(vocab, test)}
+    out_dir = Path(args.out)  # made only once the input has been read and accepted
+    out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.tsv")
     for name, split in encoded.items():
         _write_ids(out_dir / f"{name}.ids", split.ids)

@@ -177,12 +177,16 @@ class SequenceChunk:
     """A training window: (batch, time) input ids and next-token targets.
 
     reset_before marks windows whose hidden state starts from zero (sentence
-    starts in sentence mode, the first step in stream mode).
+    starts in sentence mode, the first step in stream mode). lengths, when
+    given, holds each lane's number of real steps; a lane's later steps are
+    padding, which an eval-mode forward runs but does not score. None means
+    every step is real.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     reset_before: bool
+    lengths: np.ndarray | None = None
 
 
 def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]:

@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import EncodedCorpus, EncodedSplit, chunk_sentences
-from .models import (CELL_AXES, DivergenceError, ModelSpec, forward_chunk, param_count,
-                     param_count_formula)
+from .corpus import EncodedCorpus, EncodedSplit, SequenceChunk
+from .models import (CELL_AXES, DivergenceError, ModelSpec, eval_rows, forward_chunk,
+                     param_count, param_count_formula)
 from .training import TrainConfig, fit
 
 
@@ -16,26 +16,75 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     """exp(mean negative log-likelihood per predicted token), dropout off.
 
     Sentence splits reset the hidden state at sentence starts; stream splits
-    carry it throughout. Every token after the split's first is predicted
-    exactly once, so the value does not depend on t_bptt.
+    carry it throughout, as one sentence. Every token after the split's
+    first is predicted exactly once, so the value does not depend on t_bptt.
+
+    Sentences are scored side by side, as the lanes of eval-mode
+    forward_chunk calls. Sorted by length (stable), they fill lane groups of
+    at most R = eval_rows(spec) tokens; a longer sentence is a group of its
+    own. Each lane starts from a zero state, and a group runs in windows of
+    t_bptt steps with its state carried, each lane leaving once it ends.
+    The losses are summed as one B=1 pass per window sums them: a window's
+    tokens one add at a time, then the windows in corpus order. Beyond one
+    float per window and one sort index per sentence, no array grows with
+    the split or a sentence.
+
+    A non-finite loss raises DivergenceError whose timestep is the index in
+    split.ids of the input token that predicted it, and word that token's id.
     """
-    if not split.has_sentences:
-        # One sentence starting at 0: unlike training's chunk_stream, the
-        # trailing partial window is kept, and the state is never reset.
-        split = EncodedSplit(split.ids, np.zeros(1, dtype=np.int64))
-    total = 0.0
-    count = 0
-    state = None
-    for chunk in chunk_sentences(split, t_bptt):
-        loss, n, _, state = forward_chunk(params, spec, chunk, state, mode="eval")
-        total += loss
-        count += n
-    if count == 0:
+    if t_bptt < 1:
+        raise ValueError("t_bptt must be at least 1")
+    ids = split.ids
+    n = len(ids)
+    starts = split.boundaries if split.has_sentences else np.zeros(1, dtype=np.int64)
+    # the inputs of a sentence run to its last token; the split's last token is never one
+    spans = np.maximum(np.minimum(np.append(starts[1:], n), n - 1) - starts, 0)
+    windows = -(-spans // t_bptt)
+    first_window = np.cumsum(windows) - windows
+    window_loss = np.zeros(int(windows.sum()))
+    if window_loss.size == 0:
         raise ValueError("split has no predictable tokens")
-    ppl = float(np.exp(total / count))
+    for group in _lane_groups(spans, eval_rows(spec)):
+        state = None
+        for w in range(int(windows[group[-1]])):
+            # lanes run shortest first, so those that have ended are a prefix
+            group = group[spans[group] > w * t_bptt]
+            if state is not None:
+                state = tuple(s[-len(group):] for s in state)
+            lengths = np.minimum(spans[group] - w * t_bptt, t_bptt)
+            pos = starts[group, None] + w * t_bptt + np.arange(lengths.max())
+            pos_in = np.minimum(pos, n - 2)  # padding reads on, past the lane's end
+            chunk = SequenceChunk(ids[pos_in], ids[pos_in + 1], reset_before=w == 0,
+                                  lengths=lengths)
+            try:
+                _, _, lane_loss, state = forward_chunk(params, spec, chunk, state, mode="eval")
+            except DivergenceError as err:
+                at = int(pos[err.lane, err.timestep])
+                raise DivergenceError("non-finite loss", timestep=at, word=int(ids[at])) from None
+            window_loss[first_window[group] + w] = lane_loss
+    total = 0.0
+    for loss in window_loss.tolist():
+        total += loss
+    ppl = float(np.exp(total / int(spans.sum())))
     if not np.isfinite(ppl):
         raise DivergenceError("non-finite perplexity")
     return ppl
+
+
+def _lane_groups(spans: np.ndarray, rows: int):
+    """Sentence indices with a positive span, sorted by span (stable), cut
+    into groups of at most `rows` tokens; a longer sentence is alone."""
+    group, size = [], 0
+    for j in np.argsort(spans, kind="stable").tolist():
+        if spans[j] == 0:
+            continue
+        if group and size + spans[j] > rows:
+            yield np.array(group)
+            group, size = [], 0
+        group.append(j)
+        size += int(spans[j])
+    if group:
+        yield np.array(group)
 
 
 @dataclass

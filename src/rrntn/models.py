@@ -301,6 +301,64 @@ def output_distribution(params, hd):
     return softmax(logits)
 
 
+# Eval mode forms the output layer in blocks of at most R rows of V float64
+# logits, R * V * 8 <= this many bytes, so its peak does not grow with a
+# window, a sentence or a split. Any block of 2 or more rows gives each row
+# the same bits. At V = 10k, 16 MiB (R = 209) scored the simple benchmark's
+# split faster than 4 or 8 MiB, and 32 MiB was no faster.
+EVAL_BLOCK_BYTES = 16 << 20
+
+
+def eval_rows(spec: ModelSpec) -> int:
+    """R, the most output-layer rows an eval-mode forward forms at once."""
+    return max(1, EVAL_BLOCK_BYTES // (8 * spec.v))
+
+
+def _scored_nll(params, spec: ModelSpec, hd: np.ndarray, chunk: SequenceChunk) -> np.ndarray:
+    """(T, B) negative log-likelihoods of a chunk's real steps, 0.0 on padding.
+
+    Only the real rows reach the output layer, in near-equal blocks of at
+    most R = eval_rows(spec) rows. So for R >= 3 a one-row block, which runs
+    as a matrix-vector product, comes only from a chunk with one real row.
+    Each value is -log(e[target] / sum(e)) from the max-shifted
+    exponentials e: the operations of softmax followed by a gather, without
+    dividing the whole row.
+    """
+    t_len, b = hd.shape[:2]
+    flat_hd = hd.reshape(t_len * b, spec.h)
+    targets = chunk.targets.T.reshape(-1)
+    if chunk.lengths is None:
+        rows = np.arange(t_len * b)
+    else:
+        rows = np.flatnonzero(np.arange(t_len)[:, None] < chunk.lengths[None, :])
+    nll = np.zeros(t_len * b)
+    for block in np.array_split(rows, max(1, -(-rows.size // eval_rows(spec)))):
+        e = flat_hd[block] @ params["w_out"].T
+        e += params["b_out"]
+        e -= np.max(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        nll[block] = -np.log(e[np.arange(block.size), targets[block]] / np.sum(e, axis=-1))
+    return nll.reshape(t_len, b)
+
+
+def _chunk_loss(nll: np.ndarray, inputs: np.ndarray) -> float:
+    """Sum of a (T, B) loss block: each step's lanes, then one add per step
+    in time order. A non-finite entry raises DivergenceError at its first
+    step, first lane, with that lane's input word."""
+    # C order makes each row's sum the same pairwise sum as np.sum(nll[t])
+    step_loss = np.ascontiguousarray(nll).sum(axis=1)
+    finite = np.isfinite(step_loss)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
+        raise DivergenceError("non-finite loss", timestep=t, lane=lane,
+                              word=int(inputs[lane, t]))
+    loss_sum = 0.0
+    for loss in step_loss.tolist():
+        loss_sum += loss
+    return loss_sum
+
+
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs from one chunk's forward pass."""
@@ -336,15 +394,25 @@ def forward_chunk(
     masked. A non-finite step loss raises
     DivergenceError with the first such timestep, its first such lane and
     that lane's input word.
+
+    Eval mode draws no dropout and builds no cache: the third value is
+    instead the (B,) loss of each lane, its real steps added one at a time
+    in time order, and lanes may end early (chunk.lengths). Its output
+    layer runs on the real steps only, in blocks of at most eval_rows(spec)
+    rows, and never forms the probabilities; each loss has the bits train
+    mode computes for the same row. Train mode needs every step real.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
+    training = mode == "train"
     b, t_len = chunk.inputs.shape
     if t_len == 0:
         raise ValueError("chunk is empty")
+    if training and chunk.lengths is not None:
+        raise ValueError("train mode scores every step; chunk.lengths must be None")
     if state_in is None or chunk.reset_before:
         state_in = zero_state(spec, b)
-    dropping = mode == "train" and p_drop > 0.0
+    dropping = training and p_drop > 0.0
     if dropping and rng is None:
         raise ValueError("train-mode dropout needs an rng")
 
@@ -367,31 +435,30 @@ def forward_chunk(
     x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
     slices = _slice_table(spec)[chunk.inputs.T]
-    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices,
-                         x_in=x_in, emb_masks=emb_masks, hd=hd,
-                         out_masks=[None] * t_len if out_masks is None else list(out_masks))
+    steps = []
     state = state_in
     for t in range(t_len):
         state, entry = step(params, slices[t], chunk.inputs[:, t], state, x_in[t], xw[:, t])
         hd[t] = state[0]
-        cache.steps.append(entry)
+        if training:
+            steps.append(entry)
+    if not training:
+        nll = _scored_nll(params, spec, hd, chunk)
+        loss_sum = _chunk_loss(nll, chunk.inputs)
+        lane_loss = np.zeros(b)
+        for row in nll:  # one add per step, in time order; padding adds 0.0
+            lane_loss += row
+        count = b * t_len if chunk.lengths is None else int(chunk.lengths.sum())
+        return loss_sum, count, lane_loss, state
     if out_masks is not None:
         hd *= out_masks
 
     probs = output_distribution(params, hd.reshape(t_len * b, spec.h)).reshape(t_len, b, spec.v)
     nll = -np.log(probs[np.arange(t_len)[:, None], np.arange(b)[None, :], chunk.targets.T])
-    # C order makes each row's sum the same pairwise sum as np.sum(nll[t])
-    step_loss = np.ascontiguousarray(nll).sum(axis=1)
-    finite = np.isfinite(step_loss)
-    if not finite.all():
-        t = int(np.argmin(finite))
-        lane = int(np.flatnonzero(~np.isfinite(nll[t]))[0])
-        raise DivergenceError("non-finite loss", timestep=t, lane=lane,
-                              word=int(chunk.inputs[lane, t]))
-    loss_sum = 0.0
-    for loss in step_loss.tolist():  # one add per step, in time order
-        loss_sum += loss
-    cache.probs = probs
+    loss_sum = _chunk_loss(nll, chunk.inputs)
+    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices, steps=steps,
+                         x_in=x_in, emb_masks=emb_masks, hd=hd, probs=probs,
+                         out_masks=[None] * t_len if out_masks is None else list(out_masks))
     return loss_sum, b * t_len, cache, state
 
 

@@ -10,9 +10,9 @@ to compare). Each config's digest covers, in order:
 
   - param_shapes, param_count and param_count_formula;
   - init_params under a gaussian and a uniform scheme;
-  - eval and train forward (p_drop 0.3) over two chunks at B=1 and B=20,
-    the second carrying the first's state: loss, token count, outgoing
-    state and probabilities;
+  - train-mode forward without dropout and with p_drop 0.3 over two
+    chunks at B=1 and B=20, the second carrying the first's state: loss,
+    token count, outgoing state and probabilities;
   - word_rows of the last train chunk, hashed as the element numbers each
     index selects, so equal selections hash equally whatever index form
     they take;
@@ -24,6 +24,10 @@ to compare). Each config's digest covers, in order:
 
 It calls only public functions that older trees have too, so it runs
 unchanged against them. Not collected by pytest.
+
+A second digest per config covers perplexity alone, on a sentence split
+with a single-token window and on a stream split, so that a change to
+evaluation shows apart from the training digests.
 """
 
 import hashlib
@@ -33,6 +37,7 @@ import numpy as np
 
 import rrntn.training
 from rrntn.corpus import EncodedSplit, SequenceChunk, chunk_sentences, chunk_stream
+from rrntn.evaluation import perplexity
 from rrntn.linalg import Rng
 from rrntn.models import (
     InitScheme,
@@ -73,14 +78,15 @@ def ids(rng: Rng, n: int, v: int) -> np.ndarray:
     return (rng.uniform01(n) * v).astype(np.int64)
 
 
-def forward_pair(h, params, spec, batch, mode):
-    """Two (batch, 6) chunks, the second carrying the first's state."""
+def forward_pair(h, params, spec, batch, p_drop):
+    """Two (batch, 6) train-mode chunks, the second carrying the first's
+    state. Without dropout these are the bits an eval-mode forward scores."""
     stream = ids(Rng(batch), batch * 13, spec.v).reshape(batch, 13)
     state = None
     for n, (lo, hi) in enumerate(((0, 6), (6, 12))):
         chunk = SequenceChunk(stream[:, lo:hi], stream[:, lo + 1:hi + 1], reset_before=n == 0)
-        loss, count, cache, state = forward_chunk(params, spec, chunk, state, mode=mode,
-                                                  rng=Rng(10 + n), p_drop=0.3)
+        loss, count, cache, state = forward_chunk(params, spec, chunk, state, mode="train",
+                                                  rng=Rng(10 + n), p_drop=p_drop)
         feed(h, loss, count, state, cache.probs)
     return cache, state
 
@@ -101,8 +107,8 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
     feed(h, params)
 
     for batch in (1, 20):
-        forward_pair(h, params, spec, batch, "eval")
-        cache, state = forward_pair(h, params, spec, batch, "train")
+        forward_pair(h, params, spec, batch, 0.0)
+        cache, state = forward_pair(h, params, spec, batch, 0.3)
         shapes = param_shapes(spec)
         feed(h, {name: np.arange(prod(shapes[name])).reshape(shapes[name])[index]
                  for name, index in word_rows(spec, cache).items()})
@@ -133,6 +139,18 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
     return h.hexdigest(), sum(f < 1.0 for f in factors)
 
 
+def perplexity_fingerprint(spec: ModelSpec) -> str:
+    """The config's perplexity digest: a sentence split whose first sentence
+    ends in a one-token window, and a stream split, at t_bptt 5."""
+    h = hashlib.sha256()
+    params = init_params(spec, INIT, Rng(1))
+    sentences = EncodedSplit(ids(Rng(9), 30, spec.v), np.array([0, 6, 13, 21], dtype=np.int64))
+    stream = EncodedSplit(ids(Rng(10), 40, spec.v), np.zeros(0, dtype=np.int64))
+    for split in (sentences, stream):
+        feed(h, perplexity(params, spec, split, t_bptt=5))
+    return h.hexdigest()
+
+
 def main() -> None:
     overall = hashlib.sha256()
     for name, spec in SPECS.items():
@@ -141,6 +159,12 @@ def main() -> None:
         overall.update(digest.encode())
         print(f"{name:16s} {digest}  (gated windows clipped: {clipped})")
     print(f"{'overall':16s} {overall.hexdigest()}")
+    overall = hashlib.sha256()
+    for name, spec in SPECS.items():
+        digest = perplexity_fingerprint(spec)
+        overall.update(digest.encode())
+        print(f"{name:16s} {digest}  (perplexity)")
+    print(f"{'overall':16s} {overall.hexdigest()}  (perplexity)")
 
 
 if __name__ == "__main__":

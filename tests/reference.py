@@ -11,11 +11,16 @@ then formed once over all T*B rows in (t, lane) order, as one D^T X product
 (per word for the per-word tensor), a row sum or one embedding scatter: the
 grouping the model uses, so the comparison isolates the recurrence and the
 slice bookkeeping.
+
+perplexity_per_window is the evaluation reference: one B=1 forward per
+t_bptt window of each sentence, summed window by window in corpus order.
 """
 
 import numpy as np
 
+from rrntn.corpus import EncodedSplit, chunk_sentences
 from rrntn.linalg import softmax
+from rrntn.models import forward_chunk
 
 
 def _sigmoid(z):
@@ -275,3 +280,22 @@ def lstm_run(params, inputs, targets, h0, c0):
     grads["w_emb"] = _emb_grad(params, inputs, dx_in)
     return {"loss": loss, "hs": hs, "probs": probs, "grads": grads,
             "dh0": dh_next, "dc0": dc_next}
+
+
+def perplexity_per_window(params, spec, split, t_bptt):
+    """Perplexity from one B=1 forward per window: returns (perplexity,
+    whether some window holds a single token).
+
+    Each window is a train-mode forward without dropout, which draws
+    nothing and scores every row through the full softmax. A stream split
+    is one sentence whose state is carried throughout.
+    """
+    if not split.has_sentences:
+        split = EncodedSplit(split.ids, np.zeros(1, dtype=np.int64))
+    total, count, state, single = 0.0, 0, None, False
+    for chunk in chunk_sentences(split, t_bptt):
+        loss, n, _, state = forward_chunk(params, spec, chunk, state, mode="train")
+        total += loss
+        count += n
+        single = single or n == 1
+    return float(np.exp(total / count)), single

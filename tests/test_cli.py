@@ -119,6 +119,19 @@ def test_prep_missing_input_is_io_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flags,missing_input,code", [
+    (["--max-size", "-1"], False, 1),
+    (["--min-count", "0"], False, 1),
+    ([], True, 3),
+], ids=["max-size", "min-count", "missing-input"])
+def test_rejected_prep_leaves_no_out_dir(ptb_dir, tmp_path, capsys, flags, missing_input, code):
+    root = tmp_path / "nope" if missing_input else ptb_dir[0]
+    out = tmp_path / "prep"
+    rc = cli.main(["prep", "--format", "ptb", "--input", str(root), "--out", str(out), *flags])
+    assert rc == code
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -162,6 +175,23 @@ def test_eval_reproduces_train_test_ppl(prepped, tmp_path, capsys):
     assert "conventions:" in eval_out
     assert cli.main(["eval", str(out_dir / "checkpoint.bin"), "--split", "test"]) == 0
     assert eval_ppl_line in capsys.readouterr().out  # repeatable
+
+
+def test_eval_names_split_token_of_nonfinite_loss(prepped, tmp_path, capsys):
+    # word w is read only by the third test sentence, at split index 7
+    corpus = _copy_corpus(prepped, tmp_path / "corpus")
+    vocab, _ = cli.load_corpus(corpus)
+    a, b, w = [i for i in range(vocab.size) if i != vocab.eos_id][:3]
+    eos = vocab.eos_id
+    cli._write_ids(corpus / "test.ids", np.array([a, b, eos, b, a, eos, a, w, b, eos, a, eos]))
+    text = _train_config(corpus, tmp_path / "out")
+    spec = cli.RunConfig.from_text(text).model_spec(vocab.size)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(2))
+    params["w_emb"][:, w] = np.nan
+    path = tmp_path / "nan.bin"
+    cli.save_checkpoint(path, params, spec, text, cli.vocab_sha256(corpus), epoch=1)
+    assert cli.main(["eval", str(path), "--split", "test"]) == 2
+    assert f"at timestep 7, word {w}: non-finite loss" in capsys.readouterr().err
 
 
 def test_eval_rejects_vocab_hash_mismatch(prepped, tmp_path, capsys):

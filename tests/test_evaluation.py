@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reference import perplexity_per_window
 from synth import synth_corpus
+from rrntn import models
 from rrntn.corpus import EncodedSplit
 from rrntn.evaluation import (
     capacity_report,
@@ -10,7 +14,8 @@ from rrntn.evaluation import (
     run_k_sweep,
 )
 from rrntn.linalg import Rng
-from rrntn.models import InitScheme, ModelSpec, init_params, param_count
+from rrntn.models import (DivergenceError, InitScheme, ModelSpec, eval_rows, init_params,
+                          param_count)
 from rrntn.training import TrainConfig
 
 
@@ -69,6 +74,130 @@ def test_stream_ppl_differs_from_sentence_ppl(tiny):
     params = init_params(spec, InitScheme.uniform(-0.3, 0.3), Rng(5))
     stream = EncodedSplit(corpus.valid.ids, np.zeros(0, dtype=np.int64))
     assert perplexity(params, spec, stream) != perplexity(params, spec, corpus.valid)
+
+
+# ---------------------------------------------------------------------------
+# lane-batched perplexity against one B=1 forward per window
+
+
+def _eval_spec(name: str, v: int) -> ModelSpec:
+    return {
+        "rrntn-f": ModelSpec("rrntn", v=v, h=8, k=4),
+        "rrntn-fmod": ModelSpec("rrntn", v=v, h=8, k=4, policy="fmod"),
+        "rrntn-identity": ModelSpec("rrntn", v=v, h=6, k=v, policy="identity"),
+        "mrnn": ModelSpec("mrnn", v=v, h=8, factor=5),
+        "gru": ModelSpec("gru", v=v, h=8, e=6, k=3),
+        "lstm": ModelSpec("lstm", v=v, h=8, e=6, k=3),
+    }[name]
+
+
+def _set_rows(monkeypatch, spec, rows):
+    """Shrink the eval block to `rows` rows of V logits (None keeps it)."""
+    if rows is not None:
+        monkeypatch.setattr(models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+        assert eval_rows(spec) == rows
+
+
+def _assert_matches_reference(params, spec, split, t_bptt):
+    # A B=1 window of one token runs its products as GEMV, and the gated and
+    # mrnn cells' shared h @ U.T does at B=1; rows of a GEMM may differ from
+    # those in the last bits. Everything else is the same operations.
+    ppl = perplexity(params, spec, split, t_bptt=t_bptt)
+    ref, single_token_window = perplexity_per_window(params, spec, split, t_bptt)
+    if spec.family == "rrntn" and not single_token_window:
+        assert ppl == ref
+    else:
+        np.testing.assert_allclose(ppl, ref, rtol=1e-13, atol=0)
+
+
+NAMES = ["rrntn-f", "rrntn-fmod", "rrntn-identity", "mrnn", "gru", "lstm"]
+
+
+@pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
+@pytest.mark.parametrize("t_bptt", [2, 5, 20])
+@pytest.mark.parametrize("kind", ["sentence", "stream"])
+@pytest.mark.parametrize("name", NAMES)
+def test_perplexity_matches_per_window_reference(tiny, monkeypatch, name, kind, t_bptt, rows):
+    vocab, corpus, _ = tiny
+    spec = _eval_spec(name, vocab.size)
+    _set_rows(monkeypatch, spec, rows)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(7))
+    split = corpus.valid
+    if kind == "stream":
+        split = EncodedSplit(split.ids, np.zeros(0, dtype=np.int64))
+    _assert_matches_reference(params, spec, split, t_bptt)
+
+
+@pytest.mark.parametrize("lengths", [[3, 40, 2, 5, 3], [12], [4, 6, 2], [5, 3, 1],
+                                     [4, 6, 2, 8, 22, 5]],
+                         ids=["longer-than-R", "one-sentence", "last-without-lookahead",
+                              "last-predicts-nothing", "even-windows"])
+@pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
+@pytest.mark.parametrize("name", ["rrntn-f", "gru"])
+def test_perplexity_edge_splits_match_reference(tiny, monkeypatch, name, rows, lengths):
+    # At R = 3 the 40-token sentence is a lane group of its own whose windows
+    # take two output blocks. The split's last sentence never predicts the
+    # token after it, and a last sentence of one token predicts nothing. The
+    # even-windows split has no one-token window at t_bptt 2 or 20, so
+    # rrntn must match exactly there, lanes side by side at the default R.
+    vocab, _, _ = tiny
+    spec = _eval_spec(name, vocab.size)
+    _set_rows(monkeypatch, spec, rows)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(8))
+    lengths = np.array(lengths)
+    ids = (Rng(9).uniform01(int(lengths.sum())) * spec.v).astype(np.int64)
+    split = EncodedSplit(ids, np.cumsum(lengths) - lengths)
+    for t_bptt in (2, 5, 20):
+        _assert_matches_reference(params, spec, split, t_bptt)
+
+
+@pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
+@pytest.mark.parametrize("t_bptt", [2, 20])
+@pytest.mark.parametrize("family", ["rrntn", "lstm"])
+def test_nonfinite_loss_names_split_token_and_word(monkeypatch, family, t_bptt, rows):
+    # word 9 is read only by the third sentence, at split index 11; the NaN
+    # it brings spoils that sentence from there on, and no other
+    spec = ModelSpec(family, v=12, h=4, k=3, **({"e": 5} if family == "lstm" else {}))
+    _set_rows(monkeypatch, spec, rows)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(1))
+    params["w_emb"][:, 9] = np.nan
+    ids = np.array([1, 2, 3, 4, 0, 2, 3, 1, 0, 5, 7, 9, 3, 0, 1, 2, 0])
+    split = EncodedSplit(ids, np.array([0, 5, 9, 14]))
+    with pytest.raises(DivergenceError) as err:
+        perplexity(params, spec, split, t_bptt=t_bptt)
+    assert (err.value.timestep, err.value.word, err.value.lane) == (11, 9, None)
+
+
+def test_perplexity_memory_is_bounded_by_the_output_block():
+    # 400 sentences of 1..40 tokens and one of 3,000; the pass holds the
+    # logits block of at most R rows and one window of a lane group (at most
+    # R lanes of t_bptt steps), whatever the length of a sentence or split
+    spec = ModelSpec("rrntn", v=10_000, h=16, k=10)
+    params = init_params(spec, InitScheme.uniform(-0.1, 0.1), Rng(3))
+    t_bptt = 20
+    gen = Rng(4)
+    lengths = np.insert(1 + (gen.uniform01(400) * 40).astype(np.int64), 200, 3000)
+    n = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    ids = (gen.uniform01(n) * spec.v).astype(np.int64)
+    split = EncodedSplit(ids, starts)
+    doubled = EncodedSplit(np.tile(ids, 2), np.append(starts, starts + n))
+
+    def peak(s):
+        tracemalloc.start()
+        try:
+            perplexity(params, spec, s, t_bptt=t_bptt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = eval_rows(spec)
+    # per lane-step: an embedding row, the state and output-layer rows, and
+    # eight ids, indices or losses; 512 KiB for Python objects
+    bound = 8 * rows * spec.v + 8 * rows * t_bptt * (spec.e + 2 * spec.h + 8) + 2**19
+    single, twice = peak(split), peak(doubled)
+    assert single <= bound and twice <= bound
+    assert twice <= 1.05 * single
 
 
 # ---------------------------------------------------------------------------

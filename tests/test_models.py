@@ -187,7 +187,7 @@ def test_word_rows_indexes_word_and_slice_blocks(family, by_word, by_slice):
     # window over them touches neither every word nor every slice
     spec = _BLOCK_TABLE[family][0]
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(1))
-    _, _, cache, _ = forward_chunk(params, spec, _chunk([2, 1, 2], [1, 2, 0]))
+    _, _, cache, _ = forward_chunk(params, spec, _chunk([2, 1, 2], [1, 2, 0]), mode="train")
     rows = word_rows(spec, cache)
     assert list(rows) == by_word + by_slice
     for name in by_word:
@@ -424,7 +424,7 @@ def test_forward_three_token_hand_loss():
     spec = ModelSpec("rrntn", v=3, h=2, k=1)
     params = init_params(spec, InitScheme.uniform(-0.3, 0.3), Rng(2))
     chunk = _chunk([0, 1], [1, 2])
-    loss, count, cache, _ = forward_chunk(params, spec, chunk)
+    loss, count, cache, _ = forward_chunk(params, spec, chunk, mode="train")
     assert count == 2
     manual = -np.log(cache.probs[0][0, 1]) - np.log(cache.probs[1][0, 2])
     np.testing.assert_allclose(loss, manual, rtol=1e-15)
@@ -637,7 +637,7 @@ def test_cache_replay_matches_loss_exactly():
     spec = ModelSpec("gru", v=10, h=4, e=3, k=2)
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
     ids = (Rng(2).uniform01(7) * 10).astype(np.int64)
-    loss, _, cache, _ = forward_chunk(params, spec, _chunk(ids[:-1], ids[1:]))
+    loss, _, cache, _ = forward_chunk(params, spec, _chunk(ids[:-1], ids[1:]), mode="train")
     b_idx = np.arange(cache.inputs.shape[0])
     replay = 0.0
     for t, p in enumerate(cache.probs):

@@ -282,7 +282,7 @@ def test_sentence_reset_isolates_sentences(tiny):
         losses = []
         state = None
         for chunk in chunk_sentences(split, t_bptt=20):
-            _, _, cache, state = forward_chunk(params, spec, chunk, state)
+            _, _, cache, state = forward_chunk(params, spec, chunk, state, mode="train")
             if chunk.reset_before:
                 p = cache.probs[0]
                 losses.append(float(np.sum(-np.log(p[np.arange(p.shape[0]), chunk.targets[:, 0]]))))
