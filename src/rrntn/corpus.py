@@ -177,16 +177,15 @@ class SequenceChunk:
     """A training window: (batch, time) input ids and next-token targets.
 
     reset_before marks windows whose hidden state starts from zero (sentence
-    starts in sentence mode, the first step in stream mode). lengths, when
-    given, holds each lane's number of real steps; a lane's later steps are
-    padding, which an eval-mode forward runs but does not score. None means
-    every step is real.
+    starts in sentence mode, the first step in stream mode). resets, when
+    given, is a (T,) bool array marking the steps before which an eval-mode
+    forward zeroes the state, so one chunk can run across sentence starts.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     reset_before: bool
-    lengths: np.ndarray | None = None
+    resets: np.ndarray | None = None
 
 
 def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]:
@@ -274,6 +273,9 @@ def split_stream_bytes(
     A cut point advances past the current token so no token is ever split;
     the straddling token stays with the earlier part.
     """
+    for name, size in (("train", train_bytes), ("valid", valid_bytes), ("test", test_bytes)):
+        if size < 0:
+            raise ValueError(f"{name} bytes must not be negative; got {size}")
 
     def cut(offset: int) -> int:
         while offset < len(raw) and not raw[offset : offset + 1].isspace():

@@ -19,15 +19,13 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     carry it throughout, as one sentence. Every token after the split's
     first is predicted exactly once, so the value does not depend on t_bptt.
 
-    Sentences are scored side by side, as the lanes of eval-mode
-    forward_chunk calls. Sorted by length (stable), they fill lane groups of
-    at most R = eval_rows(spec) tokens; a longer sentence is a group of its
-    own. Each lane starts from a zero state, and a group runs in windows of
-    t_bptt steps with its state carried, each lane leaving once it ends.
-    The losses are summed as one B=1 pass per window sums them: a window's
-    tokens one add at a time, then the windows in corpus order. Beyond one
-    float per window and one sort index per sentence, no array grows with
-    the split or a sentence.
+    The input tokens run in corpus order as one lane, cut into near-equal
+    runs of at most R = eval_rows(spec) tokens, each one eval-mode
+    forward_chunk call that zeroes the state at the sentence starts inside
+    it and carries it into the next run. The losses are summed as one B=1
+    pass per window sums them: a window's tokens one add at a time, then
+    the windows in corpus order. Beyond one float per window and one index
+    per input token, no array grows with the split or a sentence.
 
     A non-finite loss raises DivergenceError whose timestep is the index in
     split.ids of the input token that predicted it, and word that token's id.
@@ -44,24 +42,20 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     window_loss = np.zeros(int(windows.sum()))
     if window_loss.size == 0:
         raise ValueError("split has no predictable tokens")
-    for group in _lane_groups(spans, eval_rows(spec)):
-        state = None
-        for w in range(int(windows[group[-1]])):
-            # lanes run shortest first, so those that have ended are a prefix
-            group = group[spans[group] > w * t_bptt]
-            if state is not None:
-                state = tuple(s[-len(group):] for s in state)
-            lengths = np.minimum(spans[group] - w * t_bptt, t_bptt)
-            pos = starts[group, None] + w * t_bptt + np.arange(lengths.max())
-            pos_in = np.minimum(pos, n - 2)  # padding reads on, past the lane's end
-            chunk = SequenceChunk(ids[pos_in], ids[pos_in + 1], reset_before=w == 0,
-                                  lengths=lengths)
-            try:
-                _, _, lane_loss, state = forward_chunk(params, spec, chunk, state, mode="eval")
-            except DivergenceError as err:
-                at = int(pos[err.lane, err.timestep])
-                raise DivergenceError("non-finite loss", timestep=at, word=int(ids[at])) from None
-            window_loss[first_window[group] + w] = lane_loss
+    state = None
+    inputs = np.arange(starts[0], n - 1)
+    for pos in np.array_split(inputs, -(-inputs.size // eval_rows(spec))):
+        sentence = np.searchsorted(starts, pos, side="right") - 1
+        offset = pos - starts[sentence]
+        chunk = SequenceChunk(ids[pos][None], ids[pos + 1][None], reset_before=False,
+                              resets=offset == 0)
+        try:
+            _, _, nll, state = forward_chunk(params, spec, chunk, state, mode="eval")
+        except DivergenceError as err:
+            at = int(pos[err.timestep])
+            raise DivergenceError("non-finite loss", timestep=at, word=int(ids[at])) from None
+        # unbuffered, in index order: each window's sum grows one token at a time
+        np.add.at(window_loss, first_window[sentence] + offset // t_bptt, nll[:, 0])
     total = 0.0
     for loss in window_loss.tolist():
         total += loss
@@ -69,22 +63,6 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     if not np.isfinite(ppl):
         raise DivergenceError("non-finite perplexity")
     return ppl
-
-
-def _lane_groups(spans: np.ndarray, rows: int):
-    """Sentence indices with a positive span, sorted by span (stable), cut
-    into groups of at most `rows` tokens; a longer sentence is alone."""
-    group, size = [], 0
-    for j in np.argsort(spans, kind="stable").tolist():
-        if spans[j] == 0:
-            continue
-        if group and size + spans[j] > rows:
-            yield np.array(group)
-            group, size = [], 0
-        group.append(j)
-        size += int(spans[j])
-    if group:
-        yield np.array(group)
 
 
 @dataclass

@@ -314,25 +314,21 @@ def eval_rows(spec: ModelSpec) -> int:
     return max(1, EVAL_BLOCK_BYTES // (8 * spec.v))
 
 
-def _scored_nll(params, spec: ModelSpec, hd: np.ndarray, chunk: SequenceChunk) -> np.ndarray:
-    """(T, B) negative log-likelihoods of a chunk's real steps, 0.0 on padding.
+def _scored_nll(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(T, B) negative log-likelihoods of a chunk's (B, T) targets.
 
-    Only the real rows reach the output layer, in near-equal blocks of at
-    most R = eval_rows(spec) rows. So for R >= 3 a one-row block, which runs
-    as a matrix-vector product, comes only from a chunk with one real row.
-    Each value is -log(e[target] / sum(e)) from the max-shifted
-    exponentials e: the operations of softmax followed by a gather, without
-    dividing the whole row.
+    The output layer runs in near-equal blocks of at most R = eval_rows(spec)
+    rows. So for R >= 3 a one-row block, which runs as a matrix-vector
+    product, comes only from a chunk of one row. Each value is
+    -log(e[target] / sum(e)) from the max-shifted exponentials e: the
+    operations of softmax followed by a gather, without dividing the whole
+    row.
     """
     t_len, b = hd.shape[:2]
     flat_hd = hd.reshape(t_len * b, spec.h)
-    targets = chunk.targets.T.reshape(-1)
-    if chunk.lengths is None:
-        rows = np.arange(t_len * b)
-    else:
-        rows = np.flatnonzero(np.arange(t_len)[:, None] < chunk.lengths[None, :])
-    nll = np.zeros(t_len * b)
-    for block in np.array_split(rows, max(1, -(-rows.size // eval_rows(spec)))):
+    targets = targets.T.reshape(-1)
+    nll = np.empty(t_len * b)
+    for block in np.array_split(np.arange(t_len * b), -(-t_len * b // eval_rows(spec))):
         e = flat_hd[block] @ params["w_out"].T
         e += params["b_out"]
         e -= np.max(e, axis=-1, keepdims=True)
@@ -396,11 +392,11 @@ def forward_chunk(
     that lane's input word.
 
     Eval mode draws no dropout and builds no cache: the third value is
-    instead the (B,) loss of each lane, its real steps added one at a time
-    in time order, and lanes may end early (chunk.lengths). Its output
-    layer runs on the real steps only, in blocks of at most eval_rows(spec)
-    rows, and never forms the probabilities; each loss has the bits train
-    mode computes for the same row. Train mode needs every step real.
+    instead the (T, B) loss of each step, and the state is zeroed before
+    every step that chunk.resets marks. Its output layer runs in blocks of
+    at most eval_rows(spec) rows and never forms the probabilities; each
+    loss has the bits train mode computes for the same row. Train mode
+    carries the state through the whole chunk and rejects resets.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -408,8 +404,8 @@ def forward_chunk(
     b, t_len = chunk.inputs.shape
     if t_len == 0:
         raise ValueError("chunk is empty")
-    if training and chunk.lengths is not None:
-        raise ValueError("train mode scores every step; chunk.lengths must be None")
+    if training and chunk.resets is not None:
+        raise ValueError("train mode carries the state through a chunk; chunk.resets must be None")
     if state_in is None or chunk.reset_before:
         state_in = zero_state(spec, b)
     dropping = training and p_drop > 0.0
@@ -438,18 +434,15 @@ def forward_chunk(
     steps = []
     state = state_in
     for t in range(t_len):
+        if chunk.resets is not None and chunk.resets[t]:
+            state = zero_state(spec, b)
         state, entry = step(params, slices[t], chunk.inputs[:, t], state, x_in[t], xw[:, t])
         hd[t] = state[0]
         if training:
             steps.append(entry)
     if not training:
-        nll = _scored_nll(params, spec, hd, chunk)
-        loss_sum = _chunk_loss(nll, chunk.inputs)
-        lane_loss = np.zeros(b)
-        for row in nll:  # one add per step, in time order; padding adds 0.0
-            lane_loss += row
-        count = b * t_len if chunk.lengths is None else int(chunk.lengths.sum())
-        return loss_sum, count, lane_loss, state
+        nll = _scored_nll(params, spec, hd, chunk.targets)
+        return _chunk_loss(nll, chunk.inputs), b * t_len, nll, state
     if out_masks is not None:
         hd *= out_masks
 

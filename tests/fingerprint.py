@@ -26,8 +26,10 @@ It calls only public functions that older trees have too, so it runs
 unchanged against them. Not collected by pytest.
 
 A second digest per config covers perplexity alone, on a sentence split
-with a single-token window and on a stream split, so that a change to
-evaluation shows apart from the training digests.
+with a single-token window and on a stream split, each scored at the
+default eval block and again at three rows (R = 3), whose runs cut
+sentences and windows partway through, so that a change to evaluation
+shows apart from the training digests.
 """
 
 import hashlib
@@ -35,6 +37,7 @@ from math import prod
 
 import numpy as np
 
+import rrntn.models
 import rrntn.training
 from rrntn.corpus import EncodedSplit, SequenceChunk, chunk_sentences, chunk_stream
 from rrntn.evaluation import perplexity
@@ -141,13 +144,21 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
 
 def perplexity_fingerprint(spec: ModelSpec) -> str:
     """The config's perplexity digest: a sentence split whose first sentence
-    ends in a one-token window, and a stream split, at t_bptt 5."""
+    ends in a one-token window, and a stream split, at t_bptt 5; both at the
+    default eval block, then at an eval block of three rows."""
     h = hashlib.sha256()
     params = init_params(spec, INIT, Rng(1))
     sentences = EncodedSplit(ids(Rng(9), 30, spec.v), np.array([0, 6, 13, 21], dtype=np.int64))
     stream = EncodedSplit(ids(Rng(10), 40, spec.v), np.zeros(0, dtype=np.int64))
     for split in (sentences, stream):
         feed(h, perplexity(params, spec, split, t_bptt=5))
+    block = rrntn.models.EVAL_BLOCK_BYTES
+    rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
+    try:
+        for split in (sentences, stream):
+            feed(h, perplexity(params, spec, split, t_bptt=5))
+    finally:
+        rrntn.models.EVAL_BLOCK_BYTES = block
     return h.hexdigest()
 
 

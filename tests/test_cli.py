@@ -119,6 +119,22 @@ def test_prep_missing_input_is_io_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("name", ["train", "valid", "test"])
+def test_prep_rejects_negative_byte_count(tmp_path, capsys, name):
+    # a negative size would cut the stream at an offset counted from its end
+    stream = tmp_path / "stream.txt"
+    words = order2_sentences(v=20, n_tokens=1200, seed=2, sentence_mean=10**9)[0]
+    stream.write_text(" ".join(words), encoding="utf-8")
+    out = tmp_path / "prep"
+    sizes = {"train": "4000", "valid": "600", "test": "600", name: "-2000"}
+    rc = cli.main(["prep", "--format", "text8", "--input", str(stream), "--out", str(out),
+                   *(arg for key, size in sizes.items() for arg in (f"--{key}-bytes", size))])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {name} bytes must not be negative; got -2000"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,missing_input,code", [
     (["--max-size", "-1"], False, 1),
     (["--min-count", "0"], False, 1),

@@ -77,7 +77,7 @@ def test_stream_ppl_differs_from_sentence_ppl(tiny):
 
 
 # ---------------------------------------------------------------------------
-# lane-batched perplexity against one B=1 forward per window
+# perplexity in runs of R tokens against one B=1 forward per window
 
 
 def _eval_spec(name: str, v: int) -> ModelSpec:
@@ -99,12 +99,13 @@ def _set_rows(monkeypatch, spec, rows):
 
 
 def _assert_matches_reference(params, spec, split, t_bptt):
-    # A B=1 window of one token runs its products as GEMV, and the gated and
-    # mrnn cells' shared h @ U.T does at B=1; rows of a GEMM may differ from
-    # those in the last bits. Everything else is the same operations.
+    # Both run the recurrence at B=1. A reference window of one token runs
+    # its input and output products as GEMV, whose row may differ in the
+    # last bits from the same row of a run's GEMM; everything else is the
+    # same operations.
     ppl = perplexity(params, spec, split, t_bptt=t_bptt)
     ref, single_token_window = perplexity_per_window(params, spec, split, t_bptt)
-    if spec.family == "rrntn" and not single_token_window:
+    if not single_token_window:
         assert ppl == ref
     else:
         np.testing.assert_allclose(ppl, ref, rtol=1e-13, atol=0)
@@ -135,11 +136,11 @@ def test_perplexity_matches_per_window_reference(tiny, monkeypatch, name, kind, 
 @pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
 @pytest.mark.parametrize("name", ["rrntn-f", "gru"])
 def test_perplexity_edge_splits_match_reference(tiny, monkeypatch, name, rows, lengths):
-    # At R = 3 the 40-token sentence is a lane group of its own whose windows
-    # take two output blocks. The split's last sentence never predicts the
-    # token after it, and a last sentence of one token predicts nothing. The
-    # even-windows split has no one-token window at t_bptt 2 or 20, so
-    # rrntn must match exactly there, lanes side by side at the default R.
+    # At R = 3 runs cut sentences and windows partway through, and the
+    # 40-token sentence spans many runs. The split's last sentence never
+    # predicts the token after it, and a last sentence of one token predicts
+    # nothing. The even-windows split has no one-token window at t_bptt 2 or
+    # 20, so every family must match exactly there.
     vocab, _, _ = tiny
     spec = _eval_spec(name, vocab.size)
     _set_rows(monkeypatch, spec, rows)
@@ -149,6 +150,32 @@ def test_perplexity_edge_splits_match_reference(tiny, monkeypatch, name, rows, l
     split = EncodedSplit(ids, np.cumsum(lengths) - lengths)
     for t_bptt in (2, 5, 20):
         _assert_matches_reference(params, spec, split, t_bptt)
+
+
+@pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
+@pytest.mark.parametrize("t_bptt", [2, 20])
+@pytest.mark.parametrize("kind", ["sentence", "stream"])
+def test_perplexity_fills_runs_of_r_tokens(tiny, monkeypatch, kind, t_bptt, rows):
+    # the m input tokens take ceil(m / R) forward calls of 2 to R rows each,
+    # whatever t_bptt and the sentence lengths
+    _, corpus, spec = tiny
+    _set_rows(monkeypatch, spec, rows)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(7))
+    split = corpus.valid
+    if kind == "stream":
+        split = EncodedSplit(split.ids, np.zeros(0, dtype=np.int64))
+    calls = []
+
+    def counting(params, spec, chunk, *args, **kwargs):
+        calls.append(chunk.inputs.shape)
+        return models.forward_chunk(params, spec, chunk, *args, **kwargs)
+
+    monkeypatch.setattr("rrntn.evaluation.forward_chunk", counting)
+    perplexity(params, spec, split, t_bptt=t_bptt)
+    m, rows = len(split.ids) - 1, eval_rows(spec)
+    assert len(calls) == -(-m // rows)
+    assert all(b == 1 and 2 <= t <= rows for b, t in calls)
+    assert sum(t for _, t in calls) == m
 
 
 @pytest.mark.parametrize("rows", [3, None], ids=["R3", "R-default"])
@@ -170,8 +197,8 @@ def test_nonfinite_loss_names_split_token_and_word(monkeypatch, family, t_bptt, 
 
 def test_perplexity_memory_is_bounded_by_the_output_block():
     # 400 sentences of 1..40 tokens and one of 3,000; the pass holds the
-    # logits block of at most R rows and one window of a lane group (at most
-    # R lanes of t_bptt steps), whatever the length of a sentence or split
+    # logits block of at most R rows and one run of at most R steps,
+    # whatever the length of a sentence or split
     spec = ModelSpec("rrntn", v=10_000, h=16, k=10)
     params = init_params(spec, InitScheme.uniform(-0.1, 0.1), Rng(3))
     t_bptt = 20
@@ -192,9 +219,10 @@ def test_perplexity_memory_is_bounded_by_the_output_block():
             tracemalloc.stop()
 
     rows = eval_rows(spec)
-    # per lane-step: an embedding row, the state and output-layer rows, and
-    # eight ids, indices or losses; 512 KiB for Python objects
-    bound = 8 * rows * spec.v + 8 * rows * t_bptt * (spec.e + 2 * spec.h + 8) + 2**19
+    # per step of a run: an embedding row, the state and output-layer rows,
+    # and eight ids, indices or losses; 512 KiB for Python objects and the
+    # split's one index per input token
+    bound = 8 * rows * spec.v + 8 * rows * (spec.e + 2 * spec.h + 8) + 2**19
     single, twice = peak(split), peak(doubled)
     assert single <= bound and twice <= bound
     assert twice <= 1.05 * single

@@ -472,6 +472,24 @@ def test_forward_reset_zeroes_state():
     assert loss_a == loss_b  # reset_before wins over the passed state
 
 
+@pytest.mark.parametrize("family", ["rrntn", "lstm"])
+def test_eval_resets_split_a_chunk_into_fresh_pieces(family):
+    # a reset before step 4 of 9: the steps score as the pieces 0-3 and 4-8
+    # run apart, the second from a zero state
+    spec = ModelSpec(family, v=12, h=4, k=3, **({"e": 5} if family == "lstm" else {}))
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
+    ids = (Rng(7).uniform01(10) * spec.v).astype(np.int64)
+    resets = np.arange(9) == 4
+    whole = SequenceChunk(ids[None, :-1], ids[None, 1:], reset_before=True, resets=resets)
+    _, count, nll, _ = forward_chunk(params, spec, whole, mode="eval")
+    _, _, first, state = forward_chunk(params, spec, _chunk(ids[:4], ids[1:5]), mode="eval")
+    _, _, second, _ = forward_chunk(params, spec, _chunk(ids[4:9], ids[5:]), state, mode="eval")
+    assert count == 9 and nll.shape == (9, 1)
+    assert np.array_equal(nll, np.concatenate([first, second]))
+    with pytest.raises(ValueError, match="resets"):
+        forward_chunk(params, spec, whole, mode="train")
+
+
 def test_forward_divergence_error_carries_timestep():
     spec = ModelSpec("rrntn", v=4, h=2, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
