@@ -274,8 +274,8 @@ def split_stream_bytes(
     the straddling token stays with the earlier part.
     """
     for name, size in (("train", train_bytes), ("valid", valid_bytes), ("test", test_bytes)):
-        if size < 0:
-            raise ValueError(f"{name} bytes must not be negative; got {size}")
+        if size < 1:
+            raise ValueError(f"{name} bytes must be at least 1; got {size}")
 
     def cut(offset: int) -> int:
         while offset < len(raw) and not raw[offset : offset + 1].isspace():

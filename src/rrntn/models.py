@@ -189,7 +189,8 @@ def word_rows(spec: ModelSpec, cache: ForwardCache) -> dict[str, object]:
     A window gives nonzero gradients only to the columns of w_emb (and of
     the other blocks with a trailing V axis) at its unique input ids, and
     only to the rows of the blocks with a leading K axis at the slices of
-    those ids. Blocks not listed are dense.
+    those ids, both in ascending order. gradient_stage forms these blocks
+    at this index only; blocks not listed are dense.
     """
     index = {"word": (slice(None), np.unique(cache.inputs)), "slice": np.unique(cache.slices)}
     blocks = [("w_emb", "ev"), *(block[:2] for block in _CELLS[spec.family].blocks)]
@@ -455,16 +456,19 @@ def forward_chunk(
     return loss_sum, b * t_len, cache, state
 
 
-def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None):
+def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None, rows=None):
     """Exact gradients of the chunk's summed loss, truncated at the chunk start.
 
     state_grad_in is the gradient flowing into the chunk's final state from
     later computation, one (B, H) array per state array; pass None (zero)
-    for truncated training. Returns (gradients, state_grad_out): one dense
-    block per entry of param_shapes, in its order, and the gradient with
-    respect to the chunk's incoming state. Consumes cache.probs, which holds
-    the logit gradients after. The reverse time loop carries only the
-    recurrence; gradient_stage then forms the recurrence gradients.
+    for truncated training. Returns (gradients, state_grad_out): one block
+    per entry of param_shapes, in its order, and the gradient with respect
+    to the chunk's incoming state. With rows = word_rows(spec, cache) each
+    word-selected block is returned compact, at its index in rows; by
+    default every block is dense, the compact ones scattered into zeros.
+    Consumes cache.probs, which holds the logit gradients after. The reverse
+    time loop carries only the recurrence; gradient_stage then forms the
+    recurrence gradients.
     """
     b, t_len = cache.inputs.shape
     backward = _CELLS[spec.family].backward
@@ -484,6 +488,11 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     for t in reversed(range(t_len)):
         dstate, dpre[t] = backward(params, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
     grads.update(gradient_stage(params, spec, cache, [np.concatenate(d) for d in zip(*dpre)]))
+    if rows is None:
+        for name, index in word_rows(spec, cache).items():
+            dense = np.zeros(params[name].shape)
+            dense[index] = grads[name]
+            grads[name] = dense
     return {name: grads[name] for name in param_shapes(spec)}, dstate
 
 
@@ -495,10 +504,14 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     sum over rows is in (t, lane) order: one product or row sum per shared
     block and per touched slice (rows grouped by a stable sort), one scatter
     per word-selected block, and dx_in as one product per input weight.
+    Word- and slice-selected blocks are compact, formed at their word_rows
+    index only: a word block holds the columns of the unique input ids, a
+    sliced block one row per touched slice, each in ascending order.
     """
     cell = _CELLS[spec.family]
     n = cache.inputs.size
-    ids = cache.inputs.T.reshape(-1)
+    # each row's column in the compact word blocks; np.unique sorts as word_rows does
+    cols, col_of = np.unique(cache.inputs.T.reshape(-1), return_inverse=True)
     xs = {"x_in": cache.x_in.reshape(n, -1)}  # the (T*B, .) rows each term multiplies
     for key in {key for _, _, _, key in cell.blocks} - {None, "x_in"}:
         xs[key] = np.concatenate([entry[key] for entry in cache.steps])
@@ -508,28 +521,29 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     dx_in = reduce(np.add, products) if "e" in CELL_AXES[spec.family] else dpre[0]
     if cache.emb_masks is not None:
         dx_in *= cache.emb_masks.reshape(n, -1)
-    grads = {"w_emb": _scatter_columns(spec.e, spec.v, ids, dx_in)}
+    grads = {"w_emb": _scatter_columns(cols.size, col_of, dx_in)}
 
     slices = cache.slices.reshape(-1)
     order = np.argsort(slices, kind="stable")
-    touched, starts = np.unique(slices[order], return_index=True)
-    by_slice = list(zip(touched, np.split(order, starts[1:])))
+    starts = np.unique(slices[order], return_index=True)[1]
+    by_slice = list(enumerate(np.split(order, starts[1:])))
     for name, axes, j, key in cell.blocks:
         x, by, shape = xs.get(key), _selected_by(axes), params[name].shape
         if by == "word":
-            grads[name] = _scatter_columns(*shape, ids, dpre[j] * x)
+            grads[name] = _scatter_columns(cols.size, col_of, dpre[j] * x)
             continue
-        grads[name] = np.zeros(shape)  # a shared block is one group of all rows
+        # a shared block is one group of all rows; a sliced one gets a row per touched slice
+        grads[name] = np.empty((starts.size, *shape[1:]) if by == "slice" else shape)
         for s, r in by_slice if by == "slice" else [(..., slice(None))]:
             grads[name][s] = dpre[j][r].sum(axis=0) if x is None else dpre[j][r].T @ x[r]
     return grads
 
 
-def _scatter_columns(m: int, v: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(m, v) block whose column w sums rows[r] over ids[r] = w in row order,
-    as the transpose of a (v, m) row scatter, which is faster than columns."""
-    out = np.zeros((v, m))
-    np.add.at(out, ids, rows)
+def _scatter_columns(n: int, col_of: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(m, n) block whose column c sums rows[r] over col_of[r] = c in row order,
+    as the transpose of an (n, m) row scatter, which is faster than columns."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, col_of, rows)
     return out.T
 
 

@@ -104,22 +104,38 @@ class EpochMetrics:
     seconds: float = 0.0
 
 
+# sgd_apply updates each block in panels of about this many bytes of its
+# gradient along the leading axis, so a panel's gather, scale and scatter
+# stay in L2 instead of streaming a whole-block temporary through memory.
+PANEL_BYTES = 256 << 10
+
+
 def sgd_apply(params, grads, lr: float, rows=None) -> None:
     """In-place step p[idx] <- p[idx] - lr * g for every array.
 
-    rows maps a block to the index its gradient was gathered with (see
-    models.word_rows); a block without one is updated whole. Every gradient
-    is checked before any parameter is written, so a non-finite block
-    leaves all parameters unchanged and is named in the error. The step
-    consumes grads: each block is scaled by lr in place.
+    rows maps a block to the index its gradient is at (see models.word_rows):
+    an int array of leading-axis rows or (slice(None), columns); a block
+    without one is updated whole. Every gradient is checked before any
+    parameter is written, so a non-finite block leaves all parameters
+    unchanged and is named in the error. Each block is then scaled by lr in
+    place and subtracted in panels of about PANEL_BYTES along its leading
+    axis, p[idx[a:b]] -= g[a:b]; every element gets the bits of the whole
+    block's step. The step consumes grads.
     """
     rows = rows or {}
     for name, g in grads.items():
         if not np.isfinite(np.sum(g)):
             raise DivergenceError(f"non-finite gradient in {name}", block=name)
     for name, g in grads.items():
-        np.multiply(g, lr, out=g)
-        params[name][rows.get(name, ...)] -= g
+        index = rows.get(name, slice(None))
+        lead, *rest = index if isinstance(index, tuple) else (index,)
+        step = max(1, PANEL_BYTES // g[:1].nbytes)
+        for a in range(0, len(g), step):
+            panel = g[a:a + step]
+            np.multiply(panel, lr, out=panel)
+            # a slice lead is the whole axis, so panel a is rows a:a+step
+            at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
+            params[name][(at, *rest)] -= panel
 
 
 def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainConfig):
@@ -153,10 +169,11 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     Training perplexity is computed from the summed training loss, dropout
     included as incurred. In the gated regime gradients are averaged over
     the batch lanes before clipping so the clip threshold and learning rate
-    keep their per-lane meaning. Each window's word-selected gradients are
-    gathered in place down to the rows its words touched (models.word_rows),
-    so averaging, clipping and the update skip the rows that are exactly
-    zero. One window is held at a time: its cache goes once word_rows has
+    keep their per-lane meaning. Each window's word-selected gradients come
+    from backward_chunk already compact, at the rows its words touched
+    (models.word_rows), so no dense slice or embedding block is formed and
+    averaging, clipping and the update skip the rows that are exactly zero.
+    One window is held at a time: its cache goes once backward_chunk has
     read it and its gradients once the update has used them.
     """
     t0 = time.perf_counter()
@@ -167,11 +184,9 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
         for window, chunk in enumerate(_train_chunks(split, cfg)):
             loss, count, cache, state = forward_chunk(
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
-            grads, _ = backward_chunk(params, spec, cache)
             rows = word_rows(spec, cache)
+            grads, _ = backward_chunk(params, spec, cache, rows=rows)
             del cache
-            for name, index in rows.items():  # each dense block goes once its rows are copied
-                grads[name] = grads[name][index]
             if cfg.batch > 1:
                 for name in grads:  # by key, so no loop variable outlives the window
                     grads[name] /= cfg.batch

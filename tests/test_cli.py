@@ -119,19 +119,36 @@ def test_prep_missing_input_is_io_error(tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("name", ["train", "valid", "test"])
-def test_prep_rejects_negative_byte_count(tmp_path, capsys, name):
-    # a negative size would cut the stream at an offset counted from its end
+def _prep_text8(tmp_path, name, size):
+    """rrntn prep on a large enough stream with one byte count set to size."""
     stream = tmp_path / "stream.txt"
     words = order2_sentences(v=20, n_tokens=1200, seed=2, sentence_mean=10**9)[0]
     stream.write_text(" ".join(words), encoding="utf-8")
     out = tmp_path / "prep"
-    sizes = {"train": "4000", "valid": "600", "test": "600", name: "-2000"}
+    sizes = {"train": "4000", "valid": "600", "test": "600", name: size}
     rc = cli.main(["prep", "--format", "text8", "--input", str(stream), "--out", str(out),
                    *(arg for key, size in sizes.items() for arg in (f"--{key}-bytes", size))])
+    return rc, out
+
+
+@pytest.mark.parametrize("name", ["train", "valid", "test"])
+def test_prep_rejects_negative_byte_count(tmp_path, capsys, name):
+    # a negative size would cut the stream at an offset counted from its end
+    rc, out = _prep_text8(tmp_path, name, "-2000")
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {name} bytes must not be negative; got -2000"]
+    assert err == [f"error: {name} bytes must be at least 1; got -2000"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["train", "valid", "test"])
+def test_prep_rejects_zero_byte_count(tmp_path, capsys, name):
+    # a zero train size would still give a one-token split, and a zero valid
+    # or test size would read as a stream too small
+    rc, out = _prep_text8(tmp_path, name, "0")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {name} bytes must be at least 1; got 0"]
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from test_gradients import CONFIGS
 import rrntn.models
 from rrntn.corpus import SequenceChunk
 from rrntn.linalg import Rng, dropout_mask
@@ -699,6 +700,34 @@ def test_backward_deterministic_without_dropout():
     _, _, cache_b, _ = forward_chunk(params, spec, chunk, mode="train")
     grads_b, _ = backward_chunk(params, spec, cache_b)
     assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
+
+
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_compact_gradients_equal_dense_at_word_rows(name, batch):
+    # the compact blocks train_epoch gets against the default dense ones,
+    # with dropout on, state carried in from a previous chunk and (B=20)
+    # the first and last lanes reading one word, so one slice, at the
+    # chunk's first step
+    spec = CONFIGS[name]
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
+    ids = (Rng(5).uniform01(batch * 13) * spec.v).astype(np.int64).reshape(batch, 13)
+    ids[-1, 6] = ids[0, 6]
+    first = SequenceChunk(ids[:, :6], ids[:, 1:7], reset_before=True)
+    second = SequenceChunk(ids[:, 6:12], ids[:, 7:13], reset_before=False)
+    _, _, _, state = forward_chunk(params, spec, first, mode="train", rng=Rng(2), p_drop=0.3)
+    grads = []
+    for compact in (False, True):
+        _, _, cache, _ = forward_chunk(params, spec, second, state, mode="train", rng=Rng(3),
+                                       p_drop=0.3)
+        rows = word_rows(spec, cache)
+        grads.append(backward_chunk(params, spec, cache, rows=rows if compact else None)[0])
+    dense, compact = grads
+    assert list(compact) == list(dense) == list(param_shapes(spec))
+    for block, g in dense.items():
+        assert g.shape == param_shapes(spec)[block]
+        expected = g[rows[block]] if block in rows else g
+        assert np.array_equal(compact[block], expected), block
 
 
 def _per_step_gradients(params, spec, chunk, cache, probs, state_grad_in):

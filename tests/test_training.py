@@ -17,8 +17,17 @@ from rrntn.models import (
     backward_chunk,
     forward_chunk,
     init_params,
+    param_shapes,
 )
-from rrntn.training import EpochMetrics, TrainConfig, fit, schedule_step, sgd_apply, train_epoch
+from rrntn.training import (
+    PANEL_BYTES,
+    EpochMetrics,
+    TrainConfig,
+    fit,
+    schedule_step,
+    sgd_apply,
+    train_epoch,
+)
 
 
 def small_cfg(seed=0, **overrides):
@@ -83,6 +92,43 @@ def test_sgd_rows_update_matches_literal_step():
     params = {"w": p.copy()}
     sgd_apply(params, {"w": g.copy()}, lr=0.3, rows={"w": idx})
     assert np.array_equal(params["w"], expected)
+
+
+def _panels_plus(row_bytes: int) -> int:
+    """Rows of row_bytes each that fill two whole update panels and a remainder."""
+    return 2 * (PANEL_BYTES // row_bytes) + 3
+
+
+def test_sgd_panels_match_literal_step():
+    # a leading-axis block, a (slice(None), cols) block and a dense block,
+    # each spanning two panels plus a remainder along its leading axis
+    n_slices, n_rows, n_dense = _panels_plus(8 * 9 * 7), _panels_plus(8 * 3), _panels_plus(8 * 40)
+    slice_idx = np.arange(1, 2 * n_slices, 2)
+    cols = np.array([0, 4, 5])
+    params = {"u": Rng(0).uniform01(2 * n_slices * 63).reshape(2 * n_slices, 9, 7),
+              "e": Rng(1).uniform01(n_rows * 8).reshape(n_rows, 8),
+              "w": Rng(2).uniform01(n_dense * 40).reshape(n_dense, 40)}
+    grads = {"u": Rng(3).uniform01(n_slices * 63).reshape(n_slices, 9, 7),
+             # column-major, as backward_chunk forms a compact word block
+             "e": Rng(4).uniform01(3 * n_rows).reshape(3, n_rows).T,
+             "w": Rng(5).uniform01(n_dense * 40).reshape(n_dense, 40)}
+    rows = {"u": slice_idx, "e": (slice(None), cols)}
+    expected = copy.deepcopy(params)
+    for name, g in grads.items():
+        idx = rows.get(name, ...)
+        expected[name][idx] = params[name][idx] - 0.3 * g
+    sgd_apply(params, {name: g.copy() for name, g in grads.items()}, lr=0.3, rows=rows)
+    assert all(np.array_equal(params[name], expected[name]) for name in params)
+
+
+def test_sgd_non_finite_after_multi_panel_block_writes_nothing():
+    n = _panels_plus(8 * 40)
+    params = {"w": np.zeros((n, 40)), "b": np.array([1.0])}
+    grads = {"w": np.ones((n, 40)), "b": np.array([np.inf])}
+    with pytest.raises(DivergenceError) as err:
+        sgd_apply(params, grads, lr=0.1)
+    assert err.value.block == "b"
+    assert not params["w"].any() and params["b"][0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +359,7 @@ def test_gated_regime_runs_on_stream(tiny):
 
 def test_window_memory_does_not_carry_over():
     # an epoch's peak is one window's: nothing of window w (its cache, its
-    # dense or compact gradients) is still held through window w+1
+    # gradients) is still held through window w+1
     spec = ModelSpec("lstm", v=2000, h=64, e=96, k=20)
     cfg = TrainConfig.gated(seed=0, lr0=0.0)
     params = init_params(spec, cfg.init, Rng(0))
@@ -330,6 +376,25 @@ def test_window_memory_does_not_carry_over():
             tracemalloc.stop()
 
     assert peak(2) <= 1.05 * peak(1)
+
+
+def test_window_allocates_no_dense_slice_block():
+    # K = V = 1000 slices of 50 x 50 make a 20 MB dense (K, H, H) block; a
+    # 20-token sentence touches at most 20 of its rows, and only those rows
+    # of the slice and embedding gradients are ever formed
+    spec = ModelSpec("rrntn", v=1000, h=50, k=1000, policy="identity")
+    cfg = TrainConfig.simple(seed=0)
+    params = init_params(spec, cfg.init, Rng(0))
+    split = EncodedSplit((Rng(3).uniform01(20) * spec.v).astype(np.int64),
+                         np.zeros(1, dtype=np.int64))
+    dense_bytes = 8 * int(np.prod(param_shapes(spec)["u_slices"]))
+    tracemalloc.start()
+    try:
+        train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4, (peak, dense_bytes)
 
 
 # ---------------------------------------------------------------------------
