@@ -229,8 +229,10 @@ def load_corpus(corpus_dir) -> tuple[Vocabulary, EncodedCorpus]:
     corpus_dir = Path(corpus_dir)
     vocab = Vocabulary.load(corpus_dir / "vocab.tsv")
     splits = {}
-    for name in ("train", "valid", "test"):
+    for name, label in (("train", "training"), ("valid", "validation"), ("test", "test")):
         ids = _read_ids(corpus_dir / f"{name}.ids", vocab.size)
+        if ids.size < 2:  # one prediction needs two tokens
+            raise ValueError(f"{label} split has no predictable tokens ({name}.ids: {ids.size})")
         boundaries = (np.zeros(0, dtype=np.int64) if vocab.eos_id is None
                       else _boundaries_from_eos(ids, vocab.eos_id))
         splits[name] = EncodedSplit(ids=ids, boundaries=boundaries)

@@ -65,10 +65,10 @@ class Rng:
         return Rng(int(key[0]))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Probabilities along the last axis, computed with max-subtraction."""
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Probabilities along the last axis with max-subtraction, into out (may be z) if given."""
     z = np.asarray(z, dtype=np.float64)
-    e = z - np.max(z, axis=-1, keepdims=True)  # the one full-size buffer
+    e = np.subtract(z, np.max(z, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

@@ -295,47 +295,48 @@ def lstm_step(params, s, x_ids, state, x_in, xw):
                     "f": f, "i": i, "o": o, "cc": cc, "c": c, "h": h}
 
 
-def output_distribution(params, hd):
-    """Softmax over the vocabulary for each row of hidden states, shape (N, H)."""
-    logits = hd @ params["w_out"].T
-    logits += params["b_out"]
-    return softmax(logits)
-
-
-# Eval mode forms the output layer in blocks of at most R rows of V float64
-# logits, R * V * 8 <= this many bytes, so its peak does not grow with a
-# window, a sentence or a split. Any block of 2 or more rows gives each row
-# the same bits. At V = 10k, 16 MiB (R = 209) scored the simple benchmark's
-# split faster than 4 or 8 MiB, and 32 MiB was no faster.
+# Both modes form the output layer in blocks of at most R rows of V float64
+# logits, R * V * 8 <= this many bytes, so eval's peak does not grow with a
+# window, a sentence or a split. At V = 10k, 16 MiB (R = 209) scored the simple
+# benchmark's split faster than 4 or 8 MiB, and 32 MiB was no faster.
 EVAL_BLOCK_BYTES = 16 << 20
 
 
 def eval_rows(spec: ModelSpec) -> int:
-    """R, the most output-layer rows an eval-mode forward forms at once."""
+    """R, the most output-layer rows a forward forms at once."""
     return max(1, EVAL_BLOCK_BYTES // (8 * spec.v))
 
 
-def _scored_nll(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(T, B) negative log-likelihoods of a chunk's (B, T) targets.
+def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
+                 probs: np.ndarray | None = None) -> np.ndarray:
+    """(T, B) negative log-likelihoods of a chunk's (B, T) targets from its
+    (T, B, H) output-layer inputs hd.
 
-    The output layer runs in near-equal blocks of at most R = eval_rows(spec)
-    rows. So for R >= 3 a one-row block, which runs as a matrix-vector
-    product, comes only from a chunk of one row. Each value is
-    -log(e[target] / sum(e)) from the max-shifted exponentials e: the
-    operations of softmax followed by a gather, without dividing the whole
-    row.
+    Runs in near-equal blocks of at most R = eval_rows(spec) contiguous rows.
+    Any block of 2 or more rows gives each row the same bits, and for R >= 3
+    a one-row block (a matrix-vector product) comes only from a one-row
+    chunk. Given a (T, B, V) probs, softmax normalises each block in place in
+    its rows there, and each value is -log(p[target]). Otherwise the blocks
+    share one scratch block, and each value is -log(e[target] / sum(e)) from
+    the max-shifted exponentials e, without dividing the whole row.
     """
-    t_len, b = hd.shape[:2]
-    flat_hd = hd.reshape(t_len * b, spec.h)
-    targets = targets.T.reshape(-1)
-    nll = np.empty(t_len * b)
-    for block in np.array_split(np.arange(t_len * b), -(-t_len * b // eval_rows(spec))):
-        e = flat_hd[block] @ params["w_out"].T
+    flat_hd, targets = hd.reshape(-1, spec.h), targets.T.reshape(-1)
+    nll = np.empty(targets.size)
+    blocks = np.array_split(np.arange(nll.size), -(-nll.size // eval_rows(spec)))
+    logits = np.empty((blocks[0].size, spec.v)) if probs is None else probs.reshape(-1, spec.v)
+    for block in blocks:
+        rows = slice(block[0], block[-1] + 1)
+        e = logits[:block.size] if probs is None else logits[rows]
+        np.matmul(flat_hd[rows], params["w_out"].T, out=e)
         e += params["b_out"]
+        picked = np.arange(block.size), targets[rows]
+        if probs is not None:
+            nll[rows] = -np.log(softmax(e, out=e)[picked])
+            continue
         e -= np.max(e, axis=-1, keepdims=True)
         np.exp(e, out=e)
-        nll[block] = -np.log(e[np.arange(block.size), targets[block]] / np.sum(e, axis=-1))
-    return nll.reshape(t_len, b)
+        nll[rows] = -np.log(e[picked] / np.sum(e, axis=-1))
+    return nll.reshape(hd.shape[:2])
 
 
 def _chunk_loss(nll: np.ndarray, inputs: np.ndarray) -> float:
@@ -366,7 +367,7 @@ class ForwardCache:
     steps: list[dict] = field(default_factory=list)
     x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
     emb_masks: np.ndarray | None = None  # (T, B, E), or None without embedding dropout
-    out_masks: list = field(default_factory=list)  # per-step (B, H) or None
+    out_masks: np.ndarray | tuple = ()  # (T, B, H), or () without dropout
     hd: np.ndarray | None = None  # (T, B, H) output-layer input, out_masks applied
     probs: np.ndarray | None = None  # (T, B, V); backward_chunk turns it into dlogits
 
@@ -392,12 +393,12 @@ def forward_chunk(
     DivergenceError with the first such timestep, its first such lane and
     that lane's input word.
 
-    Eval mode draws no dropout and builds no cache: the third value is
-    instead the (T, B) loss of each step, and the state is zeroed before
-    every step that chunk.resets marks. Its output layer runs in blocks of
-    at most eval_rows(spec) rows and never forms the probabilities; each
-    loss has the bits train mode computes for the same row. Train mode
-    carries the state through the whole chunk and rejects resets.
+    Both modes run output_layer in blocks of at most eval_rows(spec) rows;
+    train mode writes the probabilities in place into the cache. Eval mode
+    draws no dropout, builds no cache and never forms the probabilities:
+    the third value is the (T, B) loss of each step, with train mode's bits
+    for the same row, and the state is zeroed before each step that
+    chunk.resets marks. Train mode carries the state and rejects resets.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -414,7 +415,7 @@ def forward_chunk(
         raise ValueError("train-mode dropout needs an rng")
 
     step = _CELLS[spec.family].step
-    emb_masks = out_masks = None
+    emb_masks, out_masks = None, ()
     if dropping:
         # Every mask of the chunk, drawn before the loop in the fixed order
         # (emb_0, out_0, emb_1, out_1, ...). The stream is counter-based, so
@@ -428,7 +429,7 @@ def forward_chunk(
         if masks_emb:
             emb_masks = masks[:, :e_width].reshape(t_len, b, spec.e)
     # The input projections run once before the loop and the output layer
-    # once after it, each over all T*B rows; the loop runs the recurrence.
+    # after it, each over all T*B rows; the loop runs the recurrence.
     x_in, xw = input_stage(params, spec, chunk.inputs, emb_masks)
     hd = np.empty((t_len, b, spec.h))
     slices = _slice_table(spec)[chunk.inputs.T]
@@ -441,18 +442,15 @@ def forward_chunk(
         hd[t] = state[0]
         if training:
             steps.append(entry)
-    if not training:
-        nll = _scored_nll(params, spec, hd, chunk.targets)
-        return _chunk_loss(nll, chunk.inputs), b * t_len, nll, state
-    if out_masks is not None:
+    if dropping:
         hd *= out_masks
-
-    probs = output_distribution(params, hd.reshape(t_len * b, spec.h)).reshape(t_len, b, spec.v)
-    nll = -np.log(probs[np.arange(t_len)[:, None], np.arange(b)[None, :], chunk.targets.T])
+    probs = np.empty((t_len, b, spec.v)) if training else None
+    nll = output_layer(params, spec, hd, chunk.targets, probs)
     loss_sum = _chunk_loss(nll, chunk.inputs)
+    if not training:
+        return loss_sum, b * t_len, nll, state
     cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices, steps=steps,
-                         x_in=x_in, emb_masks=emb_masks, hd=hd, probs=probs,
-                         out_masks=[None] * t_len if out_masks is None else list(out_masks))
+                         x_in=x_in, emb_masks=emb_masks, out_masks=out_masks, hd=hd, probs=probs)
     return loss_sum, b * t_len, cache, state
 
 
@@ -474,14 +472,13 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     backward = _CELLS[spec.family].backward
 
     # Output layer, vectorized across all timesteps.
-    dlogits = cache.probs
-    dlogits[np.arange(t_len)[:, None], np.arange(b)[None, :], cache.targets.T] -= 1.0
-    flat_dl = dlogits.reshape(t_len * b, spec.v)
+    flat_dl = cache.probs.reshape(t_len * b, spec.v)  # the logit gradients, in place
+    flat_dl[np.arange(t_len * b), cache.targets.T.reshape(-1)] -= 1.0
     grads = {"w_out": flat_dl.T @ cache.hd.reshape(t_len * b, spec.h),
              "b_out": flat_dl.sum(axis=0)}
     dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
-    if cache.out_masks[0] is not None:
-        dh_out *= np.stack(cache.out_masks)
+    if len(cache.out_masks):
+        dh_out *= cache.out_masks
 
     dstate = zero_state(spec, b) if state_grad_in is None else tuple(state_grad_in)
     dpre = [None] * t_len

@@ -25,7 +25,13 @@ to compare). Each config's digest covers, in order:
 It calls only public functions that older trees have too, so it runs
 unchanged against them. Not collected by pytest.
 
-A second digest per config covers perplexity alone, on a sentence split
+A second digest per config covers the train-mode forward and backward
+passes above again, with the output layer run in blocks of three rows
+(R = 3), which cut the chunks' T*B rows partway through. A tree whose
+train mode does not block prints the digest of the unblocked passes here,
+so comparing with it shows whether blocking changes any bit.
+
+A third digest per config covers perplexity alone, on a sentence split
 with a single-token window and on a stream split, each scored at the
 default eval block and again at three rows (R = 3), whose runs cut
 sentences and windows partway through, so that a change to evaluation
@@ -33,6 +39,7 @@ shows apart from the training digests.
 """
 
 import hashlib
+from contextlib import contextmanager
 from math import prod
 
 import numpy as np
@@ -94,6 +101,31 @@ def forward_pair(h, params, spec, batch, p_drop):
     return cache, state
 
 
+def train_passes(h, params, spec):
+    """forward_pair without and with dropout at B=1 and B=20, then the
+    word_rows and backward_chunk of the last chunk."""
+    for batch in (1, 20):
+        forward_pair(h, params, spec, batch, 0.0)
+        cache, state = forward_pair(h, params, spec, batch, 0.3)
+        shapes = param_shapes(spec)
+        feed(h, {name: np.arange(prod(shapes[name])).reshape(shapes[name])[index]
+                 for name, index in word_rows(spec, cache).items()})
+        dstate_in = tuple(Rng(20 + j).uniform01(s.size).reshape(s.shape) - 0.5
+                          for j, s in enumerate(state))
+        feed(h, backward_chunk(params, spec, cache, dstate_in))
+
+
+@contextmanager
+def three_row_blocks(spec):
+    """Inside the block, the output layer forms at most three rows at once."""
+    block = rrntn.models.EVAL_BLOCK_BYTES
+    rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
+    try:
+        yield
+    finally:
+        rrntn.models.EVAL_BLOCK_BYTES = block
+
+
 def epoch(h, spec, cfg, split, windows):
     assert sum(1 for _ in windows) >= 3
     params = init_params(spec, cfg.init, Rng(5))
@@ -108,16 +140,7 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
     feed(h, init_params(spec, InitScheme.gaussian(0.1), Rng(1)))
     params = init_params(spec, INIT, Rng(1))
     feed(h, params)
-
-    for batch in (1, 20):
-        forward_pair(h, params, spec, batch, 0.0)
-        cache, state = forward_pair(h, params, spec, batch, 0.3)
-        shapes = param_shapes(spec)
-        feed(h, {name: np.arange(prod(shapes[name])).reshape(shapes[name])[index]
-                 for name, index in word_rows(spec, cache).items()})
-        dstate_in = tuple(Rng(20 + j).uniform01(s.size).reshape(s.shape) - 0.5
-                          for j, s in enumerate(state))
-        feed(h, backward_chunk(params, spec, cache, dstate_in))
+    train_passes(h, params, spec)
 
     sentences = EncodedSplit(ids(Rng(7), 30, spec.v), np.array([0, 7, 15, 22], dtype=np.int64))
     simple = TrainConfig.simple(seed=0, t_bptt=5, lr0=0.5, p_drop=0.3, init=INIT)
@@ -142,6 +165,14 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
     return h.hexdigest(), sum(f < 1.0 for f in factors)
 
 
+def blocked_train_fingerprint(spec: ModelSpec) -> str:
+    """The config's train passes with the output layer in three-row blocks."""
+    h = hashlib.sha256()
+    with three_row_blocks(spec):
+        train_passes(h, init_params(spec, INIT, Rng(1)), spec)
+    return h.hexdigest()
+
+
 def perplexity_fingerprint(spec: ModelSpec) -> str:
     """The config's perplexity digest: a sentence split whose first sentence
     ends in a one-token window, and a stream split, at t_bptt 5; both at the
@@ -152,13 +183,9 @@ def perplexity_fingerprint(spec: ModelSpec) -> str:
     stream = EncodedSplit(ids(Rng(10), 40, spec.v), np.zeros(0, dtype=np.int64))
     for split in (sentences, stream):
         feed(h, perplexity(params, spec, split, t_bptt=5))
-    block = rrntn.models.EVAL_BLOCK_BYTES
-    rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
-    try:
+    with three_row_blocks(spec):
         for split in (sentences, stream):
             feed(h, perplexity(params, spec, split, t_bptt=5))
-    finally:
-        rrntn.models.EVAL_BLOCK_BYTES = block
     return h.hexdigest()
 
 
@@ -170,12 +197,14 @@ def main() -> None:
         overall.update(digest.encode())
         print(f"{name:16s} {digest}  (gated windows clipped: {clipped})")
     print(f"{'overall':16s} {overall.hexdigest()}")
-    overall = hashlib.sha256()
-    for name, spec in SPECS.items():
-        digest = perplexity_fingerprint(spec)
-        overall.update(digest.encode())
-        print(f"{name:16s} {digest}  (perplexity)")
-    print(f"{'overall':16s} {overall.hexdigest()}  (perplexity)")
+    for label, digests in (("blocked train", blocked_train_fingerprint),
+                           ("perplexity", perplexity_fingerprint)):
+        overall = hashlib.sha256()
+        for name, spec in SPECS.items():
+            digest = digests(spec)
+            overall.update(digest.encode())
+            print(f"{name:16s} {digest}  ({label})")
+        print(f"{'overall':16s} {overall.hexdigest()}  ({label})")
 
 
 if __name__ == "__main__":

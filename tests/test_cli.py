@@ -606,6 +606,22 @@ def test_train_rejects_split_with_nothing_to_predict(prepped, tmp_path, capsys):
     assert "training split has no predictable tokens" in capsys.readouterr().err
 
 
+def test_train_rejects_unscoreable_valid_split_before_training(tmp_path, capsys):
+    # a one-token valid split would otherwise fail only after the first epoch
+    rc, corpus = _prep_text8(tmp_path, "valid", "3")
+    assert rc == 0
+    assert (corpus / "valid.ids").stat().st_size == 4
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, out_dir, p_drop=0.0))
+    assert cli.main(["train", str(cfgfile)]) == 1
+    captured = capsys.readouterr()
+    assert "epoch" not in captured.out
+    assert "validation split has no predictable tokens" in captured.err
+    assert not (out_dir / "metrics.csv").exists()
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line,expect", [
     ("plain", "expected 'word<TAB>count'"),
     ("word\tmany", "expected 'word<TAB>count'"),

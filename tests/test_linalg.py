@@ -39,6 +39,13 @@ def test_softmax_rows_sum_to_one():
     np.testing.assert_allclose(p.sum(axis=1), np.ones(4), rtol=0, atol=1e-12)
 
 
+def test_softmax_in_place_matches_copy():
+    z = sample_gaussian(Rng(3), 0.0, 5.0, 40).reshape(4, 10)
+    p = softmax(z)
+    assert softmax(z, out=z) is z
+    assert np.array_equal(z, p)
+
+
 @given(st.integers(min_value=-8, max_value=8).map(float))
 @settings(max_examples=30)
 def test_softmax_shift_invariance(c):

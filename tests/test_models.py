@@ -6,20 +6,21 @@ import pytest
 from test_gradients import CONFIGS
 import rrntn.models
 from rrntn.corpus import SequenceChunk
-from rrntn.linalg import Rng, dropout_mask
+from rrntn.linalg import Rng, dropout_mask, softmax
 from rrntn.mapping import slice_assignments
 from rrntn.models import (
     DivergenceError,
     InitScheme,
     ModelSpec,
     backward_chunk,
+    eval_rows,
     forward_chunk,
     gru_step,
     init_params,
     input_stage,
     lstm_step,
     mrnn_step,
-    output_distribution,
+    output_layer,
     param_count,
     param_count_formula,
     param_shapes,
@@ -369,25 +370,64 @@ def test_lstm_step_hand_oracle():
 
 
 def test_output_uniform_when_zero():
+    # both modes; train mode also writes the probabilities
     spec = ModelSpec("rrntn", v=7, h=3, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
-    p = output_distribution(params, np.ones((1, 3)))
-    assert np.array_equal(p, np.full((1, 7), 1 / 7))
+    for probs in (None, np.empty((2, 1, 7))):
+        nll = output_layer(params, spec, np.ones((2, 1, 3)), np.array([[4, 0]]), probs)
+        np.testing.assert_allclose(nll, np.full((2, 1), np.log(7.0)), rtol=1e-15)
+    assert np.array_equal(probs, np.full((2, 1, 7), 1 / 7))
 
 
 def test_output_bias_closed_form():
+    # p = (1/4, 3/4) when the second bias is ln 3
     spec = ModelSpec("rrntn", v=2, h=2, k=1)
     params = init_params(spec, InitScheme.gaussian(0.0), Rng(0))
     params["b_out"][:] = [0.0, np.log(3.0)]
-    p = output_distribution(params, np.ones((1, 2)))
-    np.testing.assert_allclose(p[0], [0.25, 0.75], rtol=1e-15)
+    for probs in (None, np.empty((1, 2, 2))):
+        nll = output_layer(params, spec, np.ones((1, 2, 2)), np.array([[0], [1]]), probs)
+        np.testing.assert_allclose(nll, [[np.log(4.0), np.log(4.0 / 3.0)]], rtol=1e-15)
+    np.testing.assert_allclose(probs[0], [[0.25, 0.75]] * 2, rtol=1e-15)
 
 
 def test_output_sums_to_one_random():
+    # train mode: each row of probabilities sums to 1 and gives its loss
     spec = ModelSpec("rrntn", v=11, h=4, k=2)
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
-    p = output_distribution(params, Rng(1).uniform01(8).reshape(2, 4))
-    np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], atol=1e-12)
+    targets = np.array([[3, 10], [0, 7], [5, 5]])
+    probs = np.empty((2, 3, 11))
+    nll = output_layer(params, spec, Rng(1).uniform01(24).reshape(2, 3, 4), targets, probs)
+    np.testing.assert_allclose(probs.sum(axis=-1), np.ones((2, 3)), atol=1e-12)
+    picked = probs[np.arange(2)[:, None], np.arange(3)[None, :], targets.T]
+    assert np.array_equal(nll, -np.log(picked))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("batch", [1, 3, 20])
+def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, name, batch):
+    # train mode writes the probabilities R rows at a time; R = 3 and R = 4
+    # must give the bits of one whole block, also where R does not divide
+    # the chunk's T*B = 7*B rows
+    spec = CONFIGS[name]
+    params, chunk = _dropout_case(spec, batch)
+    assert eval_rows(spec) >= chunk.inputs.size
+
+    def run():
+        loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
+                                          p_drop=0.3)
+        probs = cache.probs.copy()
+        return loss, probs, *backward_chunk(params, spec, cache)
+
+    loss, probs, grads, dstate = run()
+    for rows in (3, 4):
+        monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+        assert eval_rows(spec) == rows
+        blocked = run()
+        assert blocked[0] == loss
+        assert np.array_equal(blocked[1], probs)
+        for block in grads:
+            assert np.array_equal(blocked[2][block], grads[block]), (rows, block)
+        assert all(np.array_equal(a, b) for a, b in zip(blocked[3], dstate, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +571,13 @@ def test_hoisted_output_stage_matches_per_step_definition(spec, batch, p_drop):
     loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
                                       p_drop=p_drop)
     b_idx = np.arange(batch)
+    t_len = chunk.inputs.shape[1]
+    assert np.shape(cache.out_masks) == ((t_len, batch, spec.h) if p_drop > 0 else (0,))
     replay = 0.0
-    for t, (entry, mask) in enumerate(zip(cache.steps, cache.out_masks)):
-        assert (mask is not None) == (p_drop > 0)
-        h = entry["h"] if mask is None else entry["h"] * mask
-        np.testing.assert_allclose(cache.probs[t], output_distribution(params, h),
+    for t, entry in enumerate(cache.steps):
+        h = entry["h"] * cache.out_masks[t] if p_drop > 0 else entry["h"]
+        np.testing.assert_allclose(cache.probs[t],
+                                   softmax(h @ params["w_out"].T + params["b_out"]),
                                    rtol=1e-12, atol=0)
         replay += float(np.sum(-np.log(cache.probs[t][b_idx, chunk.targets[:, t]])))
     assert replay == loss
@@ -741,7 +783,8 @@ def _per_step_gradients(params, spec, chunk, cache, probs, state_grad_in):
     u, bias = params[sliced], sliced.replace("u_", "b_")
     dstate = tuple(state_grad_in)
     for t in reversed(range(t_len)):
-        entry, ids, mask = cache.steps[t], chunk.inputs[:, t], cache.out_masks[t]
+        entry, ids = cache.steps[t], chunk.inputs[:, t]
+        mask = cache.out_masks[t] if len(cache.out_masks) else None
         hd = entry["h"] if mask is None else entry["h"] * mask
         dl = probs[t].copy()
         dl[lanes, chunk.targets[:, t]] -= 1.0
