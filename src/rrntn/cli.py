@@ -47,7 +47,7 @@ from .evaluation import (
 from .linalg import Rng
 from .mapping import POLICY_NAMES
 from .models import CELL_AXES, FAMILIES, DivergenceError, ModelSpec, param_shapes
-from .training import REGIMES, TrainConfig, fit, grad_check
+from .training import REGIMES, TrainConfig, fit, grad_check, train_chunks
 
 _CKPT_MAGIC = b"RRNTCKPT"
 _CKPT_VERSION = 1
@@ -368,12 +368,20 @@ def _conventions(vocab: Vocabulary) -> str:
             f"gaussian init parameter read as stddev")
 
 
-def cmd_train(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _load_run(config_path):
+    """The run's config, vocabulary, corpus and spec, then its out_dir, made
+    only once the training split fills the first training window."""
+    cfg = RunConfig.load(config_path)
     vocab, corpus = load_corpus(cfg.corpus_dir)
     spec = cfg.model_spec(vocab.size)
+    next(train_chunks(corpus.train, cfg.train), None)  # a split too small raises here
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, vocab, corpus, spec, out_dir
+
+
+def cmd_train(args) -> int:
+    cfg, vocab, corpus, spec, out_dir = _load_run(args.config)
 
     def log(metrics):
         print(f"epoch {metrics.epoch}: lr {metrics.lr:.6g} "
@@ -426,16 +434,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.load(args.config)
-    vocab, corpus = load_corpus(cfg.corpus_dir)
-    spec = cfg.model_spec(vocab.size)
+    cfg, _, corpus, spec, out_dir = _load_run(args.config)
     k_values = [int(part) for part in args.k.split(",")]
     policies = tuple(args.policies.split(","))
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(row):
-        shown = "diverged" if row.test_ppl is None else f"{row.test_ppl:.3f}"
+        shown = row.error or f"{row.test_ppl:.3f}"
         print(f"policy {row.policy} K {row.k}: test PPL {shown}")
 
     result = run_k_sweep(spec, k_values, cfg.train, corpus, policies=policies, log=log)
@@ -522,18 +526,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except DivergenceError as err:
-        at = [f"{what} {n}" for what, n in (("epoch", err.epoch), ("window", err.window))
-              if n is not None]
-        where = f" ({', '.join(at)})" if at else ""
-        if err.timestep is not None:
-            where += f" at timestep {err.timestep}"
-            if err.lane is not None:
-                where += f", lane {err.lane}"
-            if err.word is not None:
-                where += f", word {err.word}"
-        if err.block is not None:
-            where += f" in block {err.block}"
-        print(f"numerical divergence{where}: {err}", file=sys.stderr)
+        print(f"numerical divergence{err.location()}: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -115,7 +115,7 @@ def run_k_sweep(base_spec: ModelSpec, k_values, cfg: TrainConfig,
             row.test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=cfg.t_bptt)
             row.valid_ppl = result.best_valid_ppl
         except DivergenceError as err:
-            row.error = str(err)
+            row.error = f"diverged{err.location()}: {err}"
         rows.append(row)
         if log is not None:
             log(row)

@@ -62,6 +62,23 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
         self.window = window
 
+    def location(self) -> str:
+        """Where it happened, as the text between "numerical divergence" and
+        ": message" in rrntn's error line, e.g. " (epoch 2, window 7) at
+        timestep 3, lane 1, word 12"; empty when nothing is known."""
+        at = [f"{what} {n}" for what, n in (("epoch", self.epoch), ("window", self.window))
+              if n is not None]
+        where = f" ({', '.join(at)})" if at else ""
+        if self.timestep is not None:
+            where += f" at timestep {self.timestep}"
+            if self.lane is not None:
+                where += f", lane {self.lane}"
+            if self.word is not None:
+                where += f", word {self.word}"
+        if self.block is not None:
+            where += f" in block {self.block}"
+        return where
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -369,7 +386,7 @@ class ForwardCache:
     emb_masks: np.ndarray | None = None  # (T, B, E), or None without embedding dropout
     out_masks: np.ndarray | tuple = ()  # (T, B, H), or () without dropout
     hd: np.ndarray | None = None  # (T, B, H) output-layer input, out_masks applied
-    probs: np.ndarray | None = None  # (T, B, V); backward_chunk turns it into dlogits
+    probs: np.ndarray | None = None  # (T, B, V); backward_chunk takes it for its dlogits
 
 
 def forward_chunk(
@@ -464,15 +481,19 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     to the chunk's incoming state. With rows = word_rows(spec, cache) each
     word-selected block is returned compact, at its index in rows; by
     default every block is dense, the compact ones scattered into zeros.
-    Consumes cache.probs, which holds the logit gradients after. The reverse
-    time loop carries only the recurrence; gradient_stage then forms the
-    recurrence gradients.
+    Takes cache.probs off the cache and turns it into the logit gradients
+    in place, so one cache runs backward once; a second call raises
+    ValueError. The reverse time loop carries only the recurrence;
+    gradient_stage then forms the recurrence gradients.
     """
     b, t_len = cache.inputs.shape
     backward = _CELLS[spec.family].backward
 
     # Output layer, vectorized across all timesteps.
+    if cache.probs is None:
+        raise ValueError("cache has no probabilities: backward_chunk already ran on it")
     flat_dl = cache.probs.reshape(t_len * b, spec.v)  # the logit gradients, in place
+    cache.probs = None
     flat_dl[np.arange(t_len * b), cache.targets.T.reshape(-1)] -= 1.0
     grads = {"w_out": flat_dl.T @ cache.hd.reshape(t_len * b, spec.h),
              "b_out": flat_dl.sum(axis=0)}

@@ -35,8 +35,8 @@ from .models import (
     backward_chunk,
     forward_chunk,
     init_params,
-    param_shapes,
     word_rows,
+    zero_state,
 )
 
 REGIMES = ("simple", "gated")
@@ -156,7 +156,10 @@ def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainCo
     return lr, 0, False
 
 
-def _train_chunks(split: EncodedSplit, cfg: TrainConfig):
+def train_chunks(split: EncodedSplit, cfg: TrainConfig):
+    """The training windows of one epoch: sentence windows in the simple
+    regime on a sentence split, batched stream windows otherwise. A stream
+    too short for one window raises CorpusTooSmallError at the first."""
     if cfg.regime == "simple" and split.has_sentences:
         return chunk_sentences(split, cfg.t_bptt)
     return chunk_stream(split, cfg.t_bptt, cfg.batch)
@@ -181,7 +184,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     total_tokens = 0
     state = None
     try:
-        for window, chunk in enumerate(_train_chunks(split, cfg)):
+        for window, chunk in enumerate(train_chunks(split, cfg)):
             loss, count, cache, state = forward_chunk(
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
             rows = word_rows(spec, cache)
@@ -282,38 +285,48 @@ def grad_check(spec: ModelSpec, rng: Rng, t_steps: int = 5, eps: float = 1e-5,
                tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic BPTT gradients against central finite differences.
 
-    Every scalar of every parameter block is perturbed by +/- eps and the
-    relative error |analytic - numeric| / max(|analytic|, |numeric|, 1e-3)
-    is reported per block (the 1e-3 floor turns the test absolute for
-    near-zero gradients, where finite differences lose meaning). Dropout is
-    off so repeated passes are identical. Use small specs only.
+    The chunk runs every path of training: two lanes whose first inputs are
+    equal, so they share a slice; dropout 0.3, the same masks on each pass
+    (a fresh rng.derive(2)); a carried U(-0.5, 0.5) incoming state; and the
+    objective loss + sum(g * state_out), whose random g is state_grad_in.
+    Every scalar of every parameter block and of the incoming state (rows
+    state_in[i]) is perturbed by +/- eps and the relative error
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-3) is reported per
+    block (the 1e-3 floor turns the test absolute for near-zero gradients,
+    where finite differences lose meaning). Use small specs only.
     """
     from .corpus import SequenceChunk
 
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), rng.derive(0))
     data_rng = rng.derive(1)
-    ids = (data_rng.uniform01(t_steps) * spec.v).astype(np.int64)
-    targets = (data_rng.uniform01(t_steps) * spec.v).astype(np.int64)
-    chunk = SequenceChunk(ids[None, :], targets[None, :], reset_before=True)
+    ids, targets = ((data_rng.uniform01(2 * t_steps) * spec.v).astype(np.int64).reshape(2, -1)
+                    for _ in range(2))
+    ids[1, 0] = ids[0, 0]
+    chunk = SequenceChunk(ids, targets, reset_before=False)
+    state_in, g = (tuple(data_rng.uniform01(2 * spec.h).reshape(2, -1) - 0.5
+                         for _ in zero_state(spec, 1)) for _ in range(2))
 
-    def loss_of() -> float:
-        loss, _, _, _ = forward_chunk(params, spec, chunk, mode="train")
-        return loss
+    def run():
+        return forward_chunk(params, spec, chunk, state_in, mode="train", rng=rng.derive(2),
+                             p_drop=0.3)
 
-    _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train")
-    analytic, _ = backward_chunk(params, spec, cache)
+    def objective() -> float:
+        loss, _, _, state_out = run()
+        return loss + sum(float(np.sum(gi * si)) for gi, si in zip(g, state_out))
 
+    analytic, dstate = backward_chunk(params, spec, run()[2], state_grad_in=g)
+    states = {f"state_in[{i}]": s for i, s in enumerate(state_in)}
+    analytic.update(zip(states, dstate))
     block_errors: dict[str, float] = {}
-    for name in param_shapes(spec):
-        arr = params[name]
+    for name, arr in {**params, **states}.items():
         worst = 0.0
         flat = arr.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up = loss_of()
+            up = objective()
             flat[idx] = orig - eps
-            down = loss_of()
+            down = objective()
             flat[idx] = orig
             numeric = (up - down) / (2.0 * eps)
             a = analytic[name].reshape(-1)[idx]

@@ -622,6 +622,22 @@ def test_train_rejects_unscoreable_valid_split_before_training(tmp_path, capsys)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command,extra", [("train", []), ("sweep", ["--k", "1,2"])],
+                         ids=["train", "sweep"])
+def test_split_too_small_for_one_window_leaves_no_out_dir(tmp_path, capsys, command, extra):
+    # about 80 training tokens against the gated preset's 20 lanes of 35 steps
+    rc, corpus = _prep_text8(tmp_path, "train", "300")
+    assert rc == 0
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, out_dir, family="lstm", regime="gated"))
+    capsys.readouterr()
+    assert cli.main([command, str(cfgfile), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stream of ") and "cannot fill batch=20 windows of 35" in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line,expect", [
     ("plain", "expected 'word<TAB>count'"),
     ("word\tmany", "expected 'word<TAB>count'"),
@@ -667,3 +683,19 @@ def test_divergence_exit_code(prepped, tmp_path, capsys):
     assert "divergence" in err
     assert re.search(r"\(epoch \d+, window \d+\)", err)
     assert re.search(r"(, word \d+| in block \w+): ", err)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_names_where_a_cell_diverged(prepped, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "diverge.cfg"
+    cfgfile.write_text(_train_config(prepped, out_dir, lr0="1e18",
+                                     init="uniform", init_lo="-0.5", init_hi="0.5",
+                                     max_epochs="2", p_drop="0.0"))
+    assert cli.main(["sweep", str(cfgfile), "--k", "1,3", "--policies", "f"]) == 0
+    cells = [l for l in capsys.readouterr().out.splitlines() if l.startswith("policy ")]
+    assert len(cells) == 2
+    for line in cells:
+        assert re.search(r": test PPL diverged \(epoch \d+, window \d+\)", line), line
+    rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["", ""]

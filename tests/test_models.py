@@ -733,6 +733,18 @@ def test_untouched_slice_gradients_are_zero():
     assert np.any(grads["u_slices"][0] != 0)
 
 
+def test_backward_takes_the_probabilities_off_the_cache():
+    # the first call turns cache.probs into the logit gradients in place, so
+    # a second call on that cache would start from dlogits, not probabilities
+    spec = ModelSpec("rrntn", v=20, h=8, k=5)
+    params, chunk = _dropout_case(spec, 2)
+    _, _, cache, _ = forward_chunk(params, spec, chunk, mode="train")
+    backward_chunk(params, spec, cache)
+    assert cache.probs is None
+    with pytest.raises(ValueError, match="already ran"):
+        backward_chunk(params, spec, cache)
+
+
 def test_backward_deterministic_without_dropout():
     spec = ModelSpec("lstm", v=8, h=3, e=4, k=2)
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
