@@ -59,6 +59,18 @@ def test_fmod_policy_gradients():
     assert report.passed, report.format()
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_rrntn_batched_gradients_match_finite_differences(name):
+    # the batched training chunk at another seed and length: two lanes that
+    # share a slice, dropout 0.3, a carried incoming state and a pull on the
+    # outgoing state, with a report row for each incoming state array
+    spec = CONFIGS[name]
+    report = grad_check(spec, Rng(11), t_steps=4)
+    n_state = 2 if spec.family == "lstm" else 1
+    assert {f"state_in[{i}]" for i in range(n_state)} <= set(report.block_errors)
+    assert report.passed, report.format()
+
+
 def _two_lane_case(spec, t_len, seed):
     from rrntn.models import InitScheme, init_params
 
