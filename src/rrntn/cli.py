@@ -43,6 +43,7 @@ from .evaluation import (
     format_capacity_table,
     perplexity,
     run_k_sweep,
+    sweep_specs,
 )
 from .linalg import Rng
 from .mapping import POLICY_NAMES
@@ -369,19 +370,19 @@ def _conventions(vocab: Vocabulary) -> str:
 
 
 def _load_run(config_path):
-    """The run's config, vocabulary, corpus and spec, then its out_dir, made
-    only once the training split fills the first training window."""
+    """The run's config, vocabulary, corpus and spec, once the training split
+    fills the first training window. Callers make out_dir after their checks."""
     cfg = RunConfig.load(config_path)
     vocab, corpus = load_corpus(cfg.corpus_dir)
     spec = cfg.model_spec(vocab.size)
     next(train_chunks(corpus.train, cfg.train), None)  # a split too small raises here
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, vocab, corpus, spec, out_dir
+    return cfg, vocab, corpus, spec
 
 
 def cmd_train(args) -> int:
-    cfg, vocab, corpus, spec, out_dir = _load_run(args.config)
+    cfg, vocab, corpus, spec = _load_run(args.config)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(metrics):
         print(f"epoch {metrics.epoch}: lr {metrics.lr:.6g} "
@@ -434,9 +435,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, _, corpus, spec, out_dir = _load_run(args.config)
-    k_values = [int(part) for part in args.k.split(",")]
-    policies = tuple(args.policies.split(","))
+    cfg, _, corpus, spec = _load_run(args.config)
+    k_values, policies = args.k.split(","), tuple(args.policies.split(","))
+    sweep_specs(spec, k_values, policies)  # a bad K list or policy raises before out_dir is made
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(row):
         shown = row.error or f"{row.test_ppl:.3f}"

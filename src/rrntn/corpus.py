@@ -174,18 +174,16 @@ def encode(vocab: Vocabulary, tokens) -> EncodedSplit:
 
 @dataclass(frozen=True)
 class SequenceChunk:
-    """A training window: (batch, time) input ids and next-token targets.
+    """A window: (batch, time) input ids and next-token targets.
 
-    reset_before marks windows whose hidden state starts from zero (sentence
-    starts in sentence mode, the first step in stream mode). resets, when
-    given, is a (T,) bool array marking the steps before which an eval-mode
-    forward zeroes the state, so one chunk can run across sentence starts.
+    resets is a (T,) bool array marking the steps before which the state of
+    every lane is zeroed, in train and eval mode alike: a sentence start, or
+    the first step of a stream. A chunk can run across sentence starts.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    reset_before: bool
-    resets: np.ndarray | None = None
+    resets: np.ndarray
 
 
 def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]:
@@ -194,7 +192,8 @@ def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]
     Targets are the inputs shifted by one position in the corpus stream, so
     the final step of a sentence predicts the next sentence's first token;
     only the very last corpus token has no target and is never an input.
-    reset_before is true exactly on the first window of each sentence.
+    Each window's resets is true at step 0 exactly on the first window of a
+    sentence, and false elsewhere.
     """
     if t_bptt < 1:
         raise ValueError("t_bptt must be at least 1")
@@ -210,18 +209,16 @@ def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]
         for off in range(0, span, t_bptt):
             a = int(lo) + off
             b = min(a + t_bptt, int(lo) + span)
-            yield SequenceChunk(
-                inputs=ids[a:b][None, :],
-                targets=ids[a + 1 : b + 1][None, :],
-                reset_before=off == 0,
-            )
+            resets = np.zeros(b - a, dtype=bool)
+            resets[0] = off == 0
+            yield SequenceChunk(ids[a:b][None, :], ids[a + 1 : b + 1][None, :], resets)
 
 
 def chunk_stream(split: EncodedSplit, t_bptt: int, batch: int) -> Iterator[SequenceChunk]:
     """Cut the stream into `batch` contiguous lanes and yield aligned windows.
 
     Each step yields a (batch, t_bptt) chunk; the hidden state is carried
-    across steps, so reset_before is true only on the first step. The
+    across steps, so resets is true only at step 0 of the first. The
     trailing remainder that does not fill a whole window is dropped.
     """
     if t_bptt < 1:
@@ -239,7 +236,9 @@ def chunk_stream(split: EncodedSplit, t_bptt: int, batch: int) -> Iterator[Seque
     base = np.arange(batch, dtype=np.int64)[:, None] * per_lane
     for s in range(steps):
         idx = base + np.arange(s * t_bptt, (s + 1) * t_bptt, dtype=np.int64)[None, :]
-        yield SequenceChunk(inputs=ids[idx], targets=ids[idx + 1], reset_before=s == 0)
+        resets = np.zeros(t_bptt, dtype=bool)
+        resets[0] = s == 0
+        yield SequenceChunk(ids[idx], ids[idx + 1], resets)
 
 
 def read_sentences(path) -> list[list[str]]:

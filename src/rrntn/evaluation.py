@@ -47,8 +47,7 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     for pos in np.array_split(inputs, -(-inputs.size // eval_rows(spec))):
         sentence = np.searchsorted(starts, pos, side="right") - 1
         offset = pos - starts[sentence]
-        chunk = SequenceChunk(ids[pos][None], ids[pos + 1][None], reset_before=False,
-                              resets=offset == 0)
+        chunk = SequenceChunk(ids[pos][None], ids[pos + 1][None], offset == 0)
         try:
             _, _, nll, state = forward_chunk(params, spec, chunk, state, mode="eval")
         except DivergenceError as err:
@@ -91,22 +90,27 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def sweep_specs(base_spec: ModelSpec, k_values, policies=("f", "fmod")) -> list[ModelSpec]:
+    """Every sweep cell's ModelSpec, by policy then K. The K values (ints or
+    their text) must strictly increase; a bad K or policy raises ValueError."""
+    k_values = [int(k) for k in k_values]
+    if not all(a < b for a, b in zip(k_values, k_values[1:])):
+        raise ValueError("K values must be strictly increasing")
+    return [replace(base_spec, k=k, policy=policy) for policy in policies for k in k_values]
+
+
 def run_k_sweep(base_spec: ModelSpec, k_values, cfg: TrainConfig,
                 corpus: EncodedCorpus, policies=("f", "fmod"), log=None) -> SweepResult:
     """Train one model per (policy, K) with a shared seed and collect test PPL.
 
     K = 1 doubles as the plain-RNN baseline and K = V as the full tensor
-    net. Every cell's ModelSpec is built before the first one trains, so a
-    bad policy or K fails at once. A diverging cell is recorded with an
-    empty perplexity and the sweep continues.
+    net. Every cell's ModelSpec is built (sweep_specs) before the first one
+    trains, so a bad policy or K fails at once. A diverging cell is
+    recorded with an empty perplexity and the sweep continues.
     """
-    k_values = [int(k) for k in k_values]
-    if not all(a < b for a, b in zip(k_values, k_values[1:])):
-        raise ValueError("K values must be strictly increasing")
-    specs = [replace(base_spec, k=k, policy=policy) for policy in policies for k in k_values]
     rows: list[SweepRow] = []
     baselines: dict[str, float] = {}
-    for spec in specs:
+    for spec in sweep_specs(base_spec, k_values, policies):
         row = SweepRow(policy=spec.policy, k=spec.k, h=spec.h,
                        params=param_count(spec), test_ppl=None,
                        valid_ppl=None, seed=cfg.seed)

@@ -380,6 +380,7 @@ class ForwardCache:
 
     inputs: np.ndarray
     targets: np.ndarray
+    resets: np.ndarray  # (T,) steps before which the state was zeroed
     slices: np.ndarray  # (T, B) slice of each input word, looked up once per chunk
     steps: list[dict] = field(default_factory=list)
     x_in: np.ndarray | None = None  # (T, B, E) input-stage rows, emb_masks applied
@@ -389,33 +390,25 @@ class ForwardCache:
     probs: np.ndarray | None = None  # (T, B, V); backward_chunk takes it for its dlogits
 
 
-def forward_chunk(
-    params,
-    spec: ModelSpec,
-    chunk: SequenceChunk,
-    state_in=None,
-    mode: str = "eval",
-    rng: Rng | None = None,
-    p_drop: float = 0.0,
-):
+def forward_chunk(params, spec: ModelSpec, chunk: SequenceChunk, state_in=None,
+                  mode: str = "eval", rng: Rng | None = None, p_drop: float = 0.0):
     """Run one chunk and return (loss_sum, token_count, cache, state_out).
 
     loss_sum is the summed negative log-likelihood of the chunk's targets.
-    The incoming state is zeroed when the chunk asks for a reset. In train
-    mode with p_drop > 0, dropout masks are drawn from rng per timestep:
-    every cell masks the hidden state entering the output layer, and one
-    that reads the embedding through input weights (its blocks name E)
-    masks the embedding output as well; recurrent connections are never
-    masked. A non-finite step loss raises
-    DivergenceError with the first such timestep, its first such lane and
-    that lane's input word.
+    The state starts at state_in, or zero when it is None, and in both
+    modes is zeroed before each step that chunk.resets marks. In train mode
+    with p_drop > 0, dropout masks are drawn from rng per timestep: every
+    cell masks the hidden state entering the output layer, and one that
+    reads the embedding through input weights (its blocks name E) masks the
+    embedding output as well; recurrent connections are never masked. A
+    non-finite step loss raises DivergenceError with the first such
+    timestep, its first such lane and that lane's input word.
 
     Both modes run output_layer in blocks of at most eval_rows(spec) rows;
     train mode writes the probabilities in place into the cache. Eval mode
     draws no dropout, builds no cache and never forms the probabilities:
     the third value is the (T, B) loss of each step, with train mode's bits
-    for the same row, and the state is zeroed before each step that
-    chunk.resets marks. Train mode carries the state and rejects resets.
+    for the same row.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
@@ -423,10 +416,6 @@ def forward_chunk(
     b, t_len = chunk.inputs.shape
     if t_len == 0:
         raise ValueError("chunk is empty")
-    if training and chunk.resets is not None:
-        raise ValueError("train mode carries the state through a chunk; chunk.resets must be None")
-    if state_in is None or chunk.reset_before:
-        state_in = zero_state(spec, b)
     dropping = training and p_drop > 0.0
     if dropping and rng is None:
         raise ValueError("train-mode dropout needs an rng")
@@ -451,9 +440,9 @@ def forward_chunk(
     hd = np.empty((t_len, b, spec.h))
     slices = _slice_table(spec)[chunk.inputs.T]
     steps = []
-    state = state_in
+    state = zero_state(spec, b) if state_in is None else state_in
     for t in range(t_len):
-        if chunk.resets is not None and chunk.resets[t]:
+        if chunk.resets[t]:
             state = zero_state(spec, b)
         state, entry = step(params, slices[t], chunk.inputs[:, t], state, x_in[t], xw[:, t])
         hd[t] = state[0]
@@ -466,21 +455,24 @@ def forward_chunk(
     loss_sum = _chunk_loss(nll, chunk.inputs)
     if not training:
         return loss_sum, b * t_len, nll, state
-    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, slices=slices, steps=steps,
-                         x_in=x_in, emb_masks=emb_masks, out_masks=out_masks, hd=hd, probs=probs)
+    cache = ForwardCache(inputs=chunk.inputs, targets=chunk.targets, resets=chunk.resets,
+                         slices=slices, steps=steps, x_in=x_in, emb_masks=emb_masks,
+                         out_masks=out_masks, hd=hd, probs=probs)
     return loss_sum, b * t_len, cache, state
 
 
-def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None, rows=None):
+def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=None,
+                   compact: bool = False):
     """Exact gradients of the chunk's summed loss, truncated at the chunk start.
 
     state_grad_in is the gradient flowing into the chunk's final state from
     later computation, one (B, H) array per state array; pass None (zero)
     for truncated training. Returns (gradients, state_grad_out): one block
     per entry of param_shapes, in its order, and the gradient with respect
-    to the chunk's incoming state. With rows = word_rows(spec, cache) each
-    word-selected block is returned compact, at its index in rows; by
-    default every block is dense, the compact ones scattered into zeros.
+    to the forward's state_in. The state gradient stops at each step that
+    cache.resets marks, so it is zero when step 0 resets. With compact each
+    word-selected block is returned at its word_rows(spec, cache) index;
+    by default every block is dense, the compact ones scattered into zeros.
     Takes cache.probs off the cache and turns it into the logit gradients
     in place, so one cache runs backward once; a second call raises
     ValueError. The reverse time loop carries only the recurrence;
@@ -505,8 +497,10 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     dpre = [None] * t_len
     for t in reversed(range(t_len)):
         dstate, dpre[t] = backward(params, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
+        if cache.resets[t]:
+            dstate = zero_state(spec, b)
     grads.update(gradient_stage(params, spec, cache, [np.concatenate(d) for d in zip(*dpre)]))
-    if rows is None:
+    if not compact:
         for name, index in word_rows(spec, cache).items():
             dense = np.zeros(params[name].shape)
             dense[index] = grads[name]

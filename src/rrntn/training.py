@@ -24,6 +24,7 @@ from .corpus import (
     CorpusTooSmallError,
     EncodedCorpus,
     EncodedSplit,
+    SequenceChunk,
     chunk_sentences,
     chunk_stream,
 )
@@ -188,7 +189,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             loss, count, cache, state = forward_chunk(
                 params, spec, chunk, state, mode="train", rng=rng, p_drop=cfg.p_drop)
             rows = word_rows(spec, cache)
-            grads, _ = backward_chunk(params, spec, cache, rows=rows)
+            grads, _ = backward_chunk(params, spec, cache, compact=True)
             del cache
             if cfg.batch > 1:
                 for name in grads:  # by key, so no loop variable outlives the window
@@ -287,22 +288,21 @@ def grad_check(spec: ModelSpec, rng: Rng, t_steps: int = 5, eps: float = 1e-5,
 
     The chunk runs every path of training: two lanes whose first inputs are
     equal, so they share a slice; dropout 0.3, the same masks on each pass
-    (a fresh rng.derive(2)); a carried U(-0.5, 0.5) incoming state; and the
-    objective loss + sum(g * state_out), whose random g is state_grad_in.
+    (a fresh rng.derive(2)); a carried U(-0.5, 0.5) incoming state and a
+    reset before step max(1, t_steps // 2); and the objective
+    loss + sum(g * state_out), whose random g is state_grad_in.
     Every scalar of every parameter block and of the incoming state (rows
     state_in[i]) is perturbed by +/- eps and the relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-3) is reported per
     block (the 1e-3 floor turns the test absolute for near-zero gradients,
     where finite differences lose meaning). Use small specs only.
     """
-    from .corpus import SequenceChunk
-
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), rng.derive(0))
     data_rng = rng.derive(1)
     ids, targets = ((data_rng.uniform01(2 * t_steps) * spec.v).astype(np.int64).reshape(2, -1)
                     for _ in range(2))
     ids[1, 0] = ids[0, 0]
-    chunk = SequenceChunk(ids, targets, reset_before=False)
+    chunk = SequenceChunk(ids, targets, np.arange(t_steps) == max(1, t_steps // 2))
     state_in, g = (tuple(data_rng.uniform01(2 * spec.h).reshape(2, -1) - 0.5
                          for _ in zero_state(spec, 1)) for _ in range(2))
 

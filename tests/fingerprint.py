@@ -46,7 +46,7 @@ import numpy as np
 
 import rrntn.models
 import rrntn.training
-from rrntn.corpus import EncodedSplit, SequenceChunk, chunk_sentences, chunk_stream
+from rrntn.corpus import EncodedSplit, chunk_sentences, chunk_stream
 from rrntn.evaluation import perplexity
 from rrntn.linalg import Rng
 from rrntn.models import (
@@ -89,12 +89,12 @@ def ids(rng: Rng, n: int, v: int) -> np.ndarray:
 
 
 def forward_pair(h, params, spec, batch, p_drop):
-    """Two (batch, 6) train-mode chunks, the second carrying the first's
-    state. Without dropout these are the bits an eval-mode forward scores."""
-    stream = ids(Rng(batch), batch * 13, spec.v).reshape(batch, 13)
+    """Two (batch, 6) train-mode chunks from chunk_stream, the second carrying
+    the first's state. Without dropout these are the bits an eval-mode
+    forward scores."""
+    split = EncodedSplit(ids(Rng(batch), 13 * batch + 1, spec.v), np.zeros(0, dtype=np.int64))
     state = None
-    for n, (lo, hi) in enumerate(((0, 6), (6, 12))):
-        chunk = SequenceChunk(stream[:, lo:hi], stream[:, lo + 1:hi + 1], reset_before=n == 0)
+    for n, chunk in enumerate(chunk_stream(split, 6, batch)):
         loss, count, cache, state = forward_chunk(params, spec, chunk, state, mode="train",
                                                   rng=Rng(10 + n), p_drop=p_drop)
         feed(h, loss, count, state, cache.probs)

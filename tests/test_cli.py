@@ -638,6 +638,20 @@ def test_split_too_small_for_one_window_leaves_no_out_dir(tmp_path, capsys, comm
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("k,expect", [
+    ("3,1", "K values must be strictly increasing"),
+    ("1,999", "K=999 exceeds vocabulary size"),
+    ("1,x", "invalid literal for int()"),
+], ids=["decreasing", "above-v", "not-a-number"])
+def test_sweep_rejected_k_leaves_no_out_dir(prepped, tmp_path, capsys, k, expect):
+    out_dir = tmp_path / "out"
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(_train_config(prepped, out_dir))
+    assert cli.main(["sweep", str(cfgfile), "--k", k]) == 1
+    assert expect in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("line,expect", [
     ("plain", "expected 'word<TAB>count'"),
     ("word\tmany", "expected 'word<TAB>count'"),

@@ -138,7 +138,8 @@ def test_chunk_sentences_45_token_sentence():
     chunks = [c for c in chunk_sentences(split, 20)]
     first_sentence = chunks[:3]
     assert [c.inputs.shape[1] for c in first_sentence] == [20, 20, 5]
-    assert [c.reset_before for c in first_sentence] == [True, False, False]
+    assert [c.resets.tolist() for c in first_sentence] == [[True] + [False] * 19,
+                                                            [False] * 20, [False] * 5]
     # targets are the inputs shifted by one position in the stream
     ids = split.ids
     assert np.array_equal(first_sentence[0].targets[0], ids[1:21])
@@ -149,14 +150,14 @@ def test_chunk_sentences_exact_fit_single_chunk():
     split = _sentence_split([20, 4])
     chunks = list(chunk_sentences(split, 20))
     assert chunks[0].inputs.shape[1] == 20
-    assert chunks[0].reset_before
+    assert chunks[0].resets.tolist() == [True] + [False] * 19
 
 
 def test_chunk_sentences_two_short_sentences():
     split = _sentence_split([5, 5])
     chunks = list(chunk_sentences(split, 20))
     assert len(chunks) == 2
-    assert all(c.reset_before for c in chunks)
+    assert all(c.resets[0] and not c.resets[1:].any() for c in chunks)
     # the last sentence has no lookahead, so it contributes one fewer pair
     assert chunks[0].inputs.shape[1] == 5
     assert chunks[1].inputs.shape[1] == 4
@@ -180,8 +181,9 @@ def test_chunk_sentences_cover_corpus_in_order(lengths, t_bptt):
     # first is a target once, both in corpus order
     assert np.array_equal(inputs, split.ids[:-1])
     assert np.array_equal(targets, split.ids[1:])
-    resets = [c.reset_before for c in chunks]
-    assert sum(resets) <= len(lengths)
+    # the state is zeroed exactly before each sentence's first input
+    resets = np.concatenate([c.resets for c in chunks]) if chunks else np.zeros(0, dtype=bool)
+    assert np.array_equal(np.flatnonzero(resets), split.boundaries[split.boundaries < inputs.size])
 
 
 def test_chunk_stream_lane_arithmetic():
@@ -189,7 +191,7 @@ def test_chunk_stream_lane_arithmetic():
     chunks = list(chunk_stream(split, t_bptt=35, batch=2))
     assert len(chunks) == 2  # 70 pairs per lane -> two full 35-step windows
     assert all(c.inputs.shape == (2, 35) for c in chunks)
-    assert chunks[0].reset_before and not chunks[1].reset_before
+    assert chunks[0].resets.tolist() == [True] + [False] * 34 and not chunks[1].resets.any()
     # lanes are contiguous spans of the stream
     assert chunks[0].inputs[0][0] == 0
     assert chunks[0].inputs[1][0] == 70
@@ -198,9 +200,9 @@ def test_chunk_stream_lane_arithmetic():
 
 def test_chunk_stream_no_resets_after_first():
     split = EncodedSplit(np.arange(200, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    resets = [c.reset_before for c in chunk_stream(split, t_bptt=35, batch=1)]
-    assert resets[0] is True
-    assert not any(resets[1:])
+    resets = np.concatenate([c.resets for c in chunk_stream(split, t_bptt=35, batch=1)])
+    assert resets.size == 175
+    assert np.flatnonzero(resets).tolist() == [0]
 
 
 def test_chunk_stream_deterministic():

@@ -3,8 +3,9 @@
 Every family is checked at a small size where perturbing each scalar twice
 is affordable; the tolerance is 1e-4 relative error at 64-bit precision.
 grad_check's chunk has two lanes sharing a slice, dropout on, a carried
-incoming state and a pull on the outgoing state, so its rows cover the
-batched training path and backward_chunk's state gradient.
+incoming state, a reset partway through and a pull on the outgoing state,
+so its rows cover the batched training path and backward_chunk's state
+gradient, cut at the reset.
 """
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_backward_returns_every_block_and_one_state_grad_per_state_array(name):
 
     spec = CONFIGS[name]
     params, ids = _two_lane_case(spec, 4, 31)
-    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], np.arange(4) == 0)
     _, _, cache, state = forward_chunk(params, spec, chunk, mode="train")
     grads, dstate = backward_chunk(params, spec, cache)
     assert [(k, g.shape) for k, g in grads.items()] == list(param_shapes(spec).items())
@@ -99,21 +100,25 @@ def test_backward_returns_every_block_and_one_state_grad_per_state_array(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_state_carried_between_chunks_matches_one_chunk(name):
-    # a 2T chunk against two T chunks that carry the state between them: one
-    # shared counter-based stream draws the same dropout masks, the second
-    # half runs backward first and hands its state gradient to the first
+    # a 2T chunk against two T chunks that carry the state between them, both
+    # from one random incoming state: one shared counter-based stream draws
+    # the same dropout masks, the second half runs backward first and hands
+    # its state gradient to the first
     from rrntn.corpus import SequenceChunk
-    from rrntn.models import backward_chunk, forward_chunk
+    from rrntn.models import backward_chunk, forward_chunk, zero_state
 
     spec, t_len = CONFIGS[name], 3
     params, ids = _two_lane_case(spec, 2 * t_len, 41)
-    whole = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
-    halves = [SequenceChunk(ids[:, :t_len], ids[:, 1:t_len + 1], reset_before=True),
-              SequenceChunk(ids[:, t_len:-1], ids[:, t_len + 1:], reset_before=False)]
+    whole = SequenceChunk(ids[:, :-1], ids[:, 1:], np.zeros(2 * t_len, dtype=bool))
+    halves = [SequenceChunk(ids[:, :t_len], ids[:, 1:t_len + 1], np.zeros(t_len, dtype=bool)),
+              SequenceChunk(ids[:, t_len:-1], ids[:, t_len + 1:], np.zeros(t_len, dtype=bool))]
+    data = Rng(42)
+    state_in = tuple(data.uniform01(2 * spec.h).reshape(2, -1) - 0.5 for _ in zero_state(spec, 2))
 
-    _, _, cache, _ = forward_chunk(params, spec, whole, mode="train", rng=Rng(43), p_drop=0.3)
+    _, _, cache, _ = forward_chunk(params, spec, whole, state_in, mode="train", rng=Rng(43),
+                                   p_drop=0.3)
     grads, dstate = backward_chunk(params, spec, cache)
-    rng, state, caches = Rng(43), None, []
+    rng, state, caches = Rng(43), state_in, []
     for chunk in halves:
         _, _, part, state = forward_chunk(params, spec, chunk, state, mode="train", rng=rng,
                                           p_drop=0.3)
@@ -124,4 +129,5 @@ def test_state_carried_between_chunks_matches_one_chunk(name):
     for block, g in grads.items():
         assert np.abs(early[block] + late[block] - g).max() <= 1e-12 * np.abs(g).max(), block
     for d, d_split in zip(dstate, dstate_split):
+        assert np.abs(d).max() > 0
         assert np.abs(d_split - d).max() <= 1e-12 * np.abs(d).max()

@@ -435,8 +435,9 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, name, batch):
 
 
 def _chunk(ids, targets):
+    """A one-lane chunk that zeroes the state before its first step."""
     return SequenceChunk(np.array([ids], dtype=np.int64),
-                         np.array([targets], dtype=np.int64), reset_before=True)
+                         np.array([targets], dtype=np.int64), np.arange(len(ids)) == 0)
 
 
 def test_zero_weight_model_loss_is_log_v():
@@ -454,7 +455,7 @@ def test_chunk_loss_additivity_with_threaded_state():
     loss_whole, _, _, _ = forward_chunk(params, spec, whole)
 
     first = _chunk(ids[:4], ids[1:5])
-    second = SequenceChunk(ids[4:-1][None, :], ids[5:][None, :], reset_before=False)
+    second = SequenceChunk(ids[4:-1][None, :], ids[5:][None, :], np.zeros(4, dtype=bool))
     l1, _, _, state = forward_chunk(params, spec, first)
     l2, _, _, _ = forward_chunk(params, spec, second, state)
     np.testing.assert_allclose(l1 + l2, loss_whole, rtol=1e-15)
@@ -510,7 +511,7 @@ def test_forward_reset_zeroes_state():
     stale_state = (np.full((1, 3), 9.0),)
     loss_a, _, _, _ = forward_chunk(params, spec, chunk, stale_state)
     loss_b, _, _, _ = forward_chunk(params, spec, chunk, None)
-    assert loss_a == loss_b  # reset_before wins over the passed state
+    assert loss_a == loss_b  # resets[0] wins over the passed state
 
 
 @pytest.mark.parametrize("family", ["rrntn", "lstm"])
@@ -520,15 +521,68 @@ def test_eval_resets_split_a_chunk_into_fresh_pieces(family):
     spec = ModelSpec(family, v=12, h=4, k=3, **({"e": 5} if family == "lstm" else {}))
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
     ids = (Rng(7).uniform01(10) * spec.v).astype(np.int64)
-    resets = np.arange(9) == 4
-    whole = SequenceChunk(ids[None, :-1], ids[None, 1:], reset_before=True, resets=resets)
+    whole = SequenceChunk(ids[None, :-1], ids[None, 1:], np.arange(9) == 4)
     _, count, nll, _ = forward_chunk(params, spec, whole, mode="eval")
     _, _, first, state = forward_chunk(params, spec, _chunk(ids[:4], ids[1:5]), mode="eval")
     _, _, second, _ = forward_chunk(params, spec, _chunk(ids[4:9], ids[5:]), state, mode="eval")
     assert count == 9 and nll.shape == (9, 1)
     assert np.array_equal(nll, np.concatenate([first, second]))
-    with pytest.raises(ValueError, match="resets"):
-        forward_chunk(params, spec, whole, mode="train")
+
+
+def _random_states(spec, batch, seed):
+    """Two random U(-0.5, 0.5) states, one (B, H) array per state array:
+    an incoming state and a gradient on the outgoing one."""
+    data = Rng(seed)
+    return [tuple(data.uniform01(batch * spec.h).reshape(batch, spec.h) - 0.5
+                  for _ in zero_state(spec, batch)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("family", ["rrntn", "lstm"])
+def test_train_resets_split_a_chunk_into_fresh_pieces(family):
+    # train mode, two lanes, dropout on: a carried state and a reset before
+    # step 4 of 9 give the loss, outgoing state, gradients and incoming
+    # state gradient of the pieces 0-3 and 4-8 run apart, the second from a
+    # zero state; one counter-based stream draws the same dropout masks
+    spec = ModelSpec(family, v=12, h=4, k=3, **({"e": 5} if family == "lstm" else {}))
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
+    ids = (Rng(7).uniform01(20) * spec.v).astype(np.int64).reshape(2, 10)
+    state_in, g = _random_states(spec, 2, 8)
+    whole = SequenceChunk(ids[:, :-1], ids[:, 1:], np.arange(9) == 4)
+    loss, _, cache, state = forward_chunk(params, spec, whole, state_in, mode="train",
+                                          rng=Rng(9), p_drop=0.3)
+    grads, dstate = backward_chunk(params, spec, cache, g)
+    rng = Rng(9)
+    first = SequenceChunk(ids[:, :4], ids[:, 1:5], np.zeros(4, dtype=bool))
+    second = SequenceChunk(ids[:, 4:9], ids[:, 5:], np.zeros(5, dtype=bool))
+    loss_1, _, cache_1, _ = forward_chunk(params, spec, first, state_in, mode="train", rng=rng,
+                                          p_drop=0.3)
+    loss_2, _, cache_2, state_2 = forward_chunk(params, spec, second, None, mode="train",
+                                                rng=rng, p_drop=0.3)
+    late, _ = backward_chunk(params, spec, cache_2, g)
+    early, dstate_apart = backward_chunk(params, spec, cache_1)
+
+    assert abs(loss_1 + loss_2 - loss) <= 1e-12 * loss
+    assert all(np.array_equal(a, b) for a, b in zip(state, state_2, strict=True))
+    for block, grad in grads.items():
+        assert np.abs(early[block] + late[block] - grad).max() <= 1e-12 * np.abs(grad).max()
+    for d, d_apart in zip(dstate, dstate_apart, strict=True):
+        assert np.abs(d).max() > 0
+        assert np.abs(d - d_apart).max() <= 1e-12 * np.abs(d).max()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reset_at_step_zero_stops_the_state_gradient(name):
+    # the state_in a chunk that resets at step 0 is passed never reaches its
+    # loss or its outgoing state, so its gradient is exactly zero
+    spec = CONFIGS[name]
+    params, chunk = _dropout_case(spec, 2)
+    chunk = SequenceChunk(chunk.inputs, chunk.targets, np.arange(7) == 0)
+    state_in, g = _random_states(spec, 2, 3)
+    _, _, cache, _ = forward_chunk(params, spec, chunk, state_in, mode="train", rng=Rng(2),
+                                   p_drop=0.3)
+    _, dstate = backward_chunk(params, spec, cache, g)
+    assert len(dstate) == len(state_in)
+    assert all(np.array_equal(d, np.zeros_like(s)) for d, s in zip(dstate, state_in))
 
 
 def test_forward_divergence_error_carries_timestep():
@@ -546,7 +600,7 @@ def test_forward_divergence_error_names_first_lane():
     params = init_params(spec, InitScheme.uniform(-0.4, 0.4), Rng(1))
     params["w_emb"][:, 5] = np.nan
     chunk = SequenceChunk(np.array([[0, 1, 2, 3], [1, 2, 5, 3]]),
-                          np.array([[1, 2, 3, 4], [2, 5, 3, 0]]), reset_before=True)
+                          np.array([[1, 2, 3, 4], [2, 5, 3, 0]]), np.arange(4) == 0)
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
         forward_chunk(params, spec, chunk)
     assert err.value.timestep == 2
@@ -557,7 +611,7 @@ def test_forward_divergence_error_names_first_lane():
 def _dropout_case(spec, batch):
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
     ids = (Rng(5).uniform01(batch * 8) * spec.v).astype(np.int64).reshape(batch, 8)
-    return params, SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    return params, SequenceChunk(ids[:, :-1], ids[:, 1:], np.zeros(7, dtype=bool))
 
 
 @pytest.mark.parametrize("spec, batch, p_drop", [
@@ -644,7 +698,7 @@ def test_hoisted_input_stage_matches_per_step_definition(family, batch, p_drop):
     params, chunk = _dropout_case(spec, batch)
     loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
                                       p_drop=p_drop)
-    state = zero_state(spec, batch)  # the chunk resets its state
+    state = zero_state(spec, batch)  # the chunk starts from a zero state
     b_idx = np.arange(batch)
     replay = 0.0
     for t, entry in enumerate(cache.steps):
@@ -767,15 +821,15 @@ def test_compact_gradients_equal_dense_at_word_rows(name, batch):
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
     ids = (Rng(5).uniform01(batch * 13) * spec.v).astype(np.int64).reshape(batch, 13)
     ids[-1, 6] = ids[0, 6]
-    first = SequenceChunk(ids[:, :6], ids[:, 1:7], reset_before=True)
-    second = SequenceChunk(ids[:, 6:12], ids[:, 7:13], reset_before=False)
+    first = SequenceChunk(ids[:, :6], ids[:, 1:7], np.arange(6) == 0)
+    second = SequenceChunk(ids[:, 6:12], ids[:, 7:13], np.zeros(6, dtype=bool))
     _, _, _, state = forward_chunk(params, spec, first, mode="train", rng=Rng(2), p_drop=0.3)
     grads = []
     for compact in (False, True):
         _, _, cache, _ = forward_chunk(params, spec, second, state, mode="train", rng=Rng(3),
                                        p_drop=0.3)
         rows = word_rows(spec, cache)
-        grads.append(backward_chunk(params, spec, cache, rows=rows if compact else None)[0])
+        grads.append(backward_chunk(params, spec, cache, compact=compact)[0])
     dense, compact = grads
     assert list(compact) == list(dense) == list(param_shapes(spec))
     for block, g in dense.items():
@@ -845,12 +899,7 @@ def test_chunk_gradients_match_per_step_accumulation(spec, batch, p_drop):
     # accumulation must agree up to summation order. Under policy f with
     # K=3, words 2.. share slice 2, so lanes share a slice within a step.
     params, chunk = _dropout_case(spec, batch)
-    chunk = SequenceChunk(chunk.inputs, chunk.targets, reset_before=False)
-    data = Rng(7)
-    state_in = tuple(data.uniform01(batch * spec.h).reshape(batch, spec.h) - 0.5
-                     for _ in range(2 if spec.family == "lstm" else 1))
-    state_grad_in = tuple(data.uniform01(batch * spec.h).reshape(batch, spec.h) - 0.5
-                          for _ in state_in)
+    state_in, state_grad_in = _random_states(spec, batch, 7)
     _, _, cache, _ = forward_chunk(params, spec, chunk, state_in, mode="train", rng=Rng(2),
                                    p_drop=p_drop)
     slices = np.stack([entry["s"] for entry in cache.steps])

@@ -29,13 +29,14 @@ V, H, E, T = 20, 8, 6, 5
 def _random_case(spec, seed, batch, t_len=T):
     """Random parameters and a chunk of `batch` lanes; with two or more lanes,
     lane 1 repeats lane 0's input word at step 2, so one slice is selected
-    twice in the same step."""
+    twice in the same step. The chunk does not reset, so backward's state
+    gradient is the references' gradient at their zero initial state."""
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(seed))
     data = Rng(seed).derive(99)
     ids = (data.uniform01(batch * (t_len + 1)) * spec.v).astype(np.int64).reshape(batch, -1)
     if batch > 1:
         ids[1, 2] = ids[0, 2]
-    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], reset_before=True)
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], np.zeros(t_len, dtype=bool))
     return params, chunk
 
 

@@ -329,7 +329,7 @@ def test_sentence_reset_isolates_sentences(tiny):
         state = None
         for chunk in chunk_sentences(split, t_bptt=20):
             _, _, cache, state = forward_chunk(params, spec, chunk, state, mode="train")
-            if chunk.reset_before:
+            if chunk.resets[0]:
                 p = cache.probs[0]
                 losses.append(float(np.sum(-np.log(p[np.arange(p.shape[0]), chunk.targets[:, 0]]))))
         return losses
