@@ -29,10 +29,6 @@ class CorpusTooSmallError(ValueError):
     pass
 
 
-class UnsupportedPolicyError(ValueError):
-    pass
-
-
 @dataclass
 class Vocabulary:
     """Immutable word table ordered by decreasing unigram frequency."""
@@ -198,7 +194,7 @@ def chunk_sentences(split: EncodedSplit, t_bptt: int) -> Iterator[SequenceChunk]
     if t_bptt < 1:
         raise ValueError("t_bptt must be at least 1")
     if not split.has_sentences:
-        raise UnsupportedPolicyError("split has no sentence boundaries; use chunk_stream")
+        raise ValueError("split has no sentence boundaries; use chunk_stream")
     ids = split.ids
     n = len(ids)
     starts = split.boundaries

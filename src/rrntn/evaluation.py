@@ -24,8 +24,11 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     forward_chunk call that zeroes the state at the sentence starts inside
     it and carries it into the next run. The losses are summed as one B=1
     pass per window sums them: a window's tokens one add at a time, then
-    the windows in corpus order. Beyond one float per window and one index
-    per input token, no array grows with the split or a sentence.
+    the windows in corpus order. Two floats carry that sum across runs:
+    `window` grows by each token's loss, and at each token whose offset from
+    its sentence start is a multiple of t_bptt, a new window opens and
+    `total` takes the last one in. Beyond one index per input token, no
+    array grows with the split or a sentence.
 
     A non-finite loss raises DivergenceError whose timestep is the index in
     split.ids of the input token that predicted it, and word that token's id.
@@ -33,17 +36,13 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
     if t_bptt < 1:
         raise ValueError("t_bptt must be at least 1")
     ids = split.ids
-    n = len(ids)
     starts = split.boundaries if split.has_sentences else np.zeros(1, dtype=np.int64)
-    # the inputs of a sentence run to its last token; the split's last token is never one
-    spans = np.maximum(np.minimum(np.append(starts[1:], n), n - 1) - starts, 0)
-    windows = -(-spans // t_bptt)
-    first_window = np.cumsum(windows) - windows
-    window_loss = np.zeros(int(windows.sum()))
-    if window_loss.size == 0:
+    # each token from the first sentence start on predicts the next; the split's last has none
+    inputs = np.arange(starts[0], len(ids) - 1)
+    if inputs.size == 0:
         raise ValueError("split has no predictable tokens")
     state = None
-    inputs = np.arange(starts[0], n - 1)
+    total = window = 0.0
     for pos in np.array_split(inputs, -(-inputs.size // eval_rows(spec))):
         sentence = np.searchsorted(starts, pos, side="right") - 1
         offset = pos - starts[sentence]
@@ -53,12 +52,12 @@ def perplexity(params, spec: ModelSpec, split: EncodedSplit, t_bptt: int = 20) -
         except DivergenceError as err:
             at = int(pos[err.timestep])
             raise DivergenceError("non-finite loss", timestep=at, word=int(ids[at])) from None
-        # unbuffered, in index order: each window's sum grows one token at a time
-        np.add.at(window_loss, first_window[sentence] + offset // t_bptt, nll[:, 0])
-    total = 0.0
-    for loss in window_loss.tolist():
-        total += loss
-    ppl = float(np.exp(total / int(spans.sum())))
+        for opens, loss in zip((offset % t_bptt == 0).tolist(), nll[:, 0].tolist()):
+            if opens:
+                total += window
+                window = 0.0
+            window += loss
+    ppl = float(np.exp((total + window) / inputs.size))
     if not np.isfinite(ppl):
         raise DivergenceError("non-finite perplexity")
     return ppl
@@ -79,7 +78,6 @@ class SweepRow:
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    baselines: dict[str, float]
 
     def to_csv(self) -> str:
         lines = ["policy,K,H,params,test_ppl,valid_ppl,seed"]
@@ -109,7 +107,6 @@ def run_k_sweep(base_spec: ModelSpec, k_values, cfg: TrainConfig,
     recorded with an empty perplexity and the sweep continues.
     """
     rows: list[SweepRow] = []
-    baselines: dict[str, float] = {}
     for spec in sweep_specs(base_spec, k_values, policies):
         row = SweepRow(policy=spec.policy, k=spec.k, h=spec.h,
                        params=param_count(spec), test_ppl=None,
@@ -123,12 +120,7 @@ def run_k_sweep(base_spec: ModelSpec, k_values, cfg: TrainConfig,
         rows.append(row)
         if log is not None:
             log(row)
-        if spec.policy == "f" and row.test_ppl is not None:
-            if spec.k == 1:
-                baselines["srnn"] = row.test_ppl
-            if spec.k == base_spec.v:
-                baselines["rntn"] = row.test_ppl
-    return SweepResult(rows=rows, baselines=baselines)
+    return SweepResult(rows=rows)
 
 
 def param_label(count: int) -> str:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from math import prod
+from math import isfinite, prod
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -127,6 +127,10 @@ class InitScheme:
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.bias not in ("same", "zero"):
             raise ValueError("bias mode must be 'same' or 'zero'")
+        for name in ("stddev", "lo", "hi"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ValueError(f"init {name} must be finite; got {value}")
         if self.stddev < 0:
             raise ValueError(f"init stddev must be non-negative; got {self.stddev}")
         if self.lo > self.hi:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -60,6 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("lr0", "halving_ratio", "clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value}")
         if self.lr0 < 0:
             raise ValueError("lr0 must be non-negative")
         if self.patience < 1:

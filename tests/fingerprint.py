@@ -23,7 +23,9 @@ to compare). Each config's digest covers, in order:
     norm is small enough that some of its windows clip.
 
 It calls only public functions that older trees have too, so it runs
-unchanged against them. Not collected by pytest.
+unchanged against them. Not collected by pytest itself; test_fingerprint.py
+runs main() and checks the output's form, not its digests, because
+Gaussian draws are bit-stable only per platform.
 
 A second digest per config covers the train-mode forward and backward
 passes above again, with the output layer run in blocks of three rows

@@ -544,6 +544,14 @@ def test_bad_config_exit_code(prepped, tmp_path, capsys):
     ({"clip_norm": "-1"}, ["clip_norm"]),
     ({"init_stddev": "-0.1"}, ["stddev"]),
     ({"init_lo": "0.1", "init_hi": "-0.1"}, ["lo=0.1", "hi=-0.1"]),
+    ({"halving_ratio": "nan"}, ["halving_ratio", "finite"]),
+    ({"halving_ratio": "inf"}, ["halving_ratio", "finite"]),
+    ({"clip_norm": "nan"}, ["clip_norm", "finite"]),
+    ({"lr0": "nan"}, ["lr0", "finite"]),
+    ({"lr0": "inf"}, ["lr0", "finite"]),
+    ({"init_stddev": "nan"}, ["stddev", "finite"]),
+    ({"init_lo": "nan"}, ["init lo", "finite"]),
+    ({"init_hi": "inf"}, ["init hi", "finite"]),
 ])
 def test_bad_value_fails_before_training(prepped, tmp_path, capsys, overrides, expect):
     out_dir = tmp_path / "out"

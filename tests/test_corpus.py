@@ -8,7 +8,6 @@ from rrntn.corpus import (
     EmptyCorpusError,
     EOS_TOKEN,
     UNK_TOKEN,
-    UnsupportedPolicyError,
     EncodedSplit,
     Vocabulary,
     build_vocab,
@@ -165,7 +164,7 @@ def test_chunk_sentences_two_short_sentences():
 
 def test_chunk_sentences_rejects_stream():
     split = EncodedSplit(np.arange(10), np.zeros(0, dtype=np.int64))
-    with pytest.raises(UnsupportedPolicyError):
+    with pytest.raises(ValueError, match="no sentence boundaries"):
         next(chunk_sentences(split, 20))
 
 
