@@ -36,8 +36,12 @@ gradient_stage and word_rows.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial
 from math import isfinite, prod
 from typing import Callable, NamedTuple
 
@@ -328,6 +332,84 @@ def eval_rows(spec: ModelSpec) -> int:
     return max(1, EVAL_BLOCK_BYTES // (8 * spec.v))
 
 
+# The helper thread: one worker that runs part of a window's output layer and
+# gradients beside the caller (see _Share). It is made on first use, and only
+# when _spare_core(); otherwise it is None and its share runs on the caller.
+# Tests set it to a pool or None.
+_UNSET = object()
+_helper: ThreadPoolExecutor | None | object = _UNSET
+_helper_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor | None:
+    """The helper, made on first use; None when it must not exist."""
+    global _helper
+    with _helper_lock:
+        if _helper is _UNSET:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="rrntn-helper") \
+                if _spare_core() else None
+        return _helper
+
+
+def _spare_core() -> bool:
+    """Whether BLAS is pinned to one thread (the first of OPENBLAS_NUM_THREADS
+    and OMP_NUM_THREADS that is set reads 1) and the process may run on two
+    or more CPUs. Beside a BLAS that already uses every core, a helper would
+    only take turns with it."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if var in os.environ:
+            return (os.environ[var].strip() == "1" and hasattr(os, "sched_getaffinity")
+                    and len(os.sched_getaffinity(0)) >= 2)
+    return False
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: it makes its own on first use."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = _UNSET, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+class _Share:
+    """The calls one function hands to the helper thread, for a chunk of
+    `rows` rows (T*B).
+
+    The helper takes part only in a chunk whose output layer runs in two or
+    more blocks (rows > eval_rows(spec)); a one-block chunk, such as a
+    simple-regime window or an evaluation run, has too little work to hand
+    over, so it runs as without a helper. start(fn, *args, **kwargs) runs fn
+    on the helper, in the caller's context (numpy's error state included),
+    or here at once when there is no helper. Leaving the with block joins
+    every started call, also when the block raises; then a helper's
+    exception is raised, unless the block's own exception is already on its
+    way. The caller allocates every output a started call writes, and the
+    helper never writes a parameter.
+    """
+
+    def __init__(self, spec: ModelSpec, rows: int):
+        self.pool = _helper_pool() if rows > eval_rows(spec) else None
+        self.futures = []
+
+    def __enter__(self) -> "_Share":
+        return self
+
+    def start(self, fn, *args, **kwargs) -> None:
+        if self.pool is None:
+            fn(*args, **kwargs)
+        else:
+            run = contextvars.copy_context().run
+            self.futures.append(self.pool.submit(run, fn, *args, **kwargs))
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        wait(self.futures)
+        if exc_type is None:
+            for future in self.futures:
+                future.result()
+
+
 def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
                  probs: np.ndarray | None = None) -> np.ndarray:
     """(T, B) negative log-likelihoods of a chunk's (B, T) targets from its
@@ -340,24 +422,43 @@ def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
     its rows there, and each value is -log(p[target]). Otherwise the blocks
     share one scratch block, and each value is -log(e[target] / sum(e)) from
     the max-shifted exponentials e, without dividing the whole row.
+
+    With two or more blocks the helper thread (see _Share) runs every other
+    block, into its own scratch block when there is no probs, and the caller
+    joins it before returning. Each block makes the same calls on the same
+    rows on either thread.
     """
     flat_hd, targets = hd.reshape(-1, spec.h), targets.T.reshape(-1)
     nll = np.empty(targets.size)
     blocks = np.array_split(np.arange(nll.size), -(-nll.size // eval_rows(spec)))
-    logits = np.empty((blocks[0].size, spec.v)) if probs is None else probs.reshape(-1, spec.v)
+    scratch = probs is None
+    logits = np.empty((blocks[0].size, spec.v)) if scratch else probs.reshape(-1, spec.v)
+    if len(blocks) == 1:
+        _output_blocks(params, flat_hd, targets, blocks, logits, scratch, nll)
+    else:
+        with _Share(spec, nll.size) as share:
+            theirs = np.empty_like(logits) if scratch and share.pool else logits
+            share.start(_output_blocks, params, flat_hd, targets, blocks[1::2], theirs, scratch,
+                        nll)
+            _output_blocks(params, flat_hd, targets, blocks[::2], logits, scratch, nll)
+    return nll.reshape(hd.shape[:2])
+
+
+def _output_blocks(params, flat_hd, targets, blocks, logits, scratch: bool, nll) -> None:
+    """output_layer's work on some of its blocks: writes their rows of nll and,
+    unless logits is one block's scratch, of the (T*B, V) probabilities logits."""
     for block in blocks:
         rows = slice(block[0], block[-1] + 1)
-        e = logits[:block.size] if probs is None else logits[rows]
+        e = logits[:block.size] if scratch else logits[rows]
         np.matmul(flat_hd[rows], params["w_out"].T, out=e)
         e += params["b_out"]
         picked = np.arange(block.size), targets[rows]
-        if probs is not None:
+        if not scratch:
             nll[rows] = -np.log(softmax(e, out=e)[picked])
             continue
         e -= np.max(e, axis=-1, keepdims=True)
         np.exp(e, out=e)
         nll[rows] = -np.log(e[picked] / np.sum(e, axis=-1))
-    return nll.reshape(hd.shape[:2])
 
 
 def _chunk_loss(nll: np.ndarray, inputs: np.ndarray) -> float:
@@ -481,6 +582,14 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     in place, so one cache runs backward once; a second call raises
     ValueError. The reverse time loop carries only the recurrence;
     gradient_stage then forms the recurrence gradients.
+
+    Once the targets are subtracted, the helper thread (see _Share) forms
+    b_out's gradient and then dh_out while the caller forms w_out's; the
+    caller joins it and frees the logit gradients before the reverse loop.
+    The w_out product is the one call whose BLAS packing buffer is large
+    (about 27 MB at V = 10k, T*B = 700), and starting it on the caller,
+    before the helper reaches a BLAS call, keeps it in the buffer the
+    caller's calls have already touched.
     """
     b, t_len = cache.inputs.shape
     backward = _CELLS[spec.family].backward
@@ -491,9 +600,13 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     flat_dl = cache.probs.reshape(t_len * b, spec.v)  # the logit gradients, in place
     cache.probs = None
     flat_dl[np.arange(t_len * b), cache.targets.T.reshape(-1)] -= 1.0
-    grads = {"w_out": flat_dl.T @ cache.hd.reshape(t_len * b, spec.h),
-             "b_out": flat_dl.sum(axis=0)}
-    dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
+    grads = {"w_out": np.empty(params["w_out"].shape), "b_out": np.empty(params["b_out"].shape)}
+    dh_out = np.empty((t_len, b, spec.h))
+    with _Share(spec, t_len * b) as share:
+        share.start(np.sum, flat_dl, axis=0, out=grads["b_out"])
+        share.start(np.matmul, flat_dl, params["w_out"], out=dh_out.reshape(t_len * b, spec.h))
+        np.matmul(flat_dl.T, cache.hd.reshape(t_len * b, spec.h), out=grads["w_out"])
+    del flat_dl  # the (T*B, V) logit gradients are done with
     if len(cache.out_masks):
         dh_out *= cache.out_masks
 
@@ -523,6 +636,11 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     Word- and slice-selected blocks are compact, formed at their word_rows
     index only: a word block holds the columns of the unique input ids, a
     sliced block one row per touched slice, each in ascending order.
+
+    The dx_in products and the shared and sliced blocks alternate between the
+    caller and the helper thread (see _Share), the helper taking every other
+    one; the caller runs the word scatters and joins the helper before it
+    sums dx_in and returns.
     """
     cell = _CELLS[spec.family]
     n = cache.inputs.size
@@ -531,28 +649,52 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     xs = {"x_in": cache.x_in.reshape(n, -1)}  # the (T*B, .) rows each term multiplies
     for key in {key for _, _, _, key in cell.blocks} - {None, "x_in"}:
         xs[key] = np.concatenate([entry[key] for entry in cache.steps])
-
-    # a cell without input weights adds the embedding straight into pre-activation 0
-    products = (dpre[j] @ params[name] for name, _, j, key in cell.blocks if key == "x_in")
-    dx_in = reduce(np.add, products) if "e" in CELL_AXES[spec.family] else dpre[0]
-    if cache.emb_masks is not None:
-        dx_in *= cache.emb_masks.reshape(n, -1)
-    grads = {"w_emb": _scatter_columns(cols.size, col_of, dx_in)}
-
     slices = cache.slices.reshape(-1)
     order = np.argsort(slices, kind="stable")
     starts = np.unique(slices[order], return_index=True)[1]
     by_slice = list(enumerate(np.split(order, starts[1:])))
+
+    # Every product and row sum writes its own output: one dx_in product per
+    # input weight, then one block per shared or sliced block (a shared block
+    # is one group of all rows; a sliced one gets a row per touched slice).
+    inputs = [(name, j) for name, _, j, key in cell.blocks if key == "x_in"]
+    products = np.empty((len(inputs), n, spec.e))
+    work = [partial(np.matmul, dpre[j], params[name], out=products[i])
+            for i, (name, j) in enumerate(inputs)]
+    grads = {}
     for name, axes, j, key in cell.blocks:
-        x, by, shape = xs.get(key), _selected_by(axes), params[name].shape
-        if by == "word":
-            grads[name] = _scatter_columns(cols.size, col_of, dpre[j] * x)
-            continue
-        # a shared block is one group of all rows; a sliced one gets a row per touched slice
-        grads[name] = np.empty((starts.size, *shape[1:]) if by == "slice" else shape)
-        for s, r in by_slice if by == "slice" else [(..., slice(None))]:
-            grads[name][s] = dpre[j][r].sum(axis=0) if x is None else dpre[j][r].T @ x[r]
+        by, shape = _selected_by(axes), params[name].shape
+        if by != "word":
+            grads[name] = np.empty((starts.size, *shape[1:]) if by == "slice" else shape)
+            groups = by_slice if by == "slice" else [(..., slice(None))]
+            work.append(partial(_group_gradients, grads[name], dpre[j], xs.get(key), groups))
+    with _Share(spec, n) as share:
+        for fn in work[1::2]:
+            share.start(fn)
+        for fn in work[::2]:
+            fn()
+        for name, axes, j, key in cell.blocks:
+            if _selected_by(axes) == "word":
+                grads[name] = _scatter_columns(cols.size, col_of, dpre[j] * xs[key])
+
+    # a cell without input weights adds the embedding straight into pre-activation 0
+    dx_in = products[0] if inputs else dpre[0]
+    for product in products[1:]:
+        dx_in += product
+    if cache.emb_masks is not None:
+        dx_in *= cache.emb_masks.reshape(n, -1)
+    grads["w_emb"] = _scatter_columns(cols.size, col_of, dx_in)
     return grads
+
+
+def _group_gradients(out: np.ndarray, d: np.ndarray, x: np.ndarray | None, groups) -> None:
+    """out[s] = d[r]^T x[r], or the row sum of d[r] when x is None, for each
+    (s, r) in groups."""
+    for s, r in groups:
+        if x is None:
+            np.sum(d[r], axis=0, out=out[s])
+        else:
+            np.matmul(d[r].T, x[r], out=out[s])
 
 
 def _scatter_columns(n: int, col_of: np.ndarray, rows: np.ndarray) -> np.ndarray:

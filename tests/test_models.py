@@ -1,4 +1,10 @@
+import itertools
 import math
+import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -404,13 +410,15 @@ def test_output_sums_to_one_random():
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("batch", [1, 3, 20])
-def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, name, batch):
+def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, name, batch):
     # train mode writes the probabilities R rows at a time; R = 3 and R = 4
     # must give the bits of one whole block, also where R does not divide
-    # the chunk's T*B = 7*B rows
+    # the chunk's T*B = 7*B rows, and so must every R with a helper thread
+    # taking every other block and part of the gradients
     spec = CONFIGS[name]
     params, chunk = _dropout_case(spec, batch)
-    assert eval_rows(spec) >= chunk.inputs.size
+    whole = eval_rows(spec)
+    assert whole >= chunk.inputs.size
 
     def run():
         loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
@@ -418,16 +426,83 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, name, batch):
         probs = cache.probs.copy()
         return loss, probs, *backward_chunk(params, spec, cache)
 
+    monkeypatch.setattr(rrntn.models, "_helper", None)
     loss, probs, grads, dstate = run()
-    for rows in (3, 4):
+    for helper, rows in itertools.product((None, helper_pool), (whole, 3, 4)):
+        monkeypatch.setattr(rrntn.models, "_helper", helper)
         monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
         assert eval_rows(spec) == rows
         blocked = run()
         assert blocked[0] == loss
         assert np.array_equal(blocked[1], probs)
         for block in grads:
-            assert np.array_equal(blocked[2][block], grads[block]), (rows, block)
+            assert np.array_equal(blocked[2][block], grads[block]), (helper, rows, block)
         assert all(np.array_equal(a, b) for a, b in zip(blocked[3], dstate, strict=True))
+
+
+class InjectedError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("raising", ["helper", "caller"])
+def test_helper_joins_before_an_error_leaves_the_forward(monkeypatch, with_helper, raising):
+    # softmax raises once, on the helper thread or on the caller; the error
+    # reaches the caller only after the helper's share is done, and the next
+    # forward, with the helper still in place, gives the helperless bits
+    spec = CONFIGS["r_lstm"]
+    params, chunk = _dropout_case(spec, 3)
+    monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
+    assert chunk.inputs.size > 2 * eval_rows(spec)
+    plain, done, raised = rrntn.models.softmax, [], []
+
+    def softmax_once(z, out=None):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == (raising == "helper") and not raised:
+            raised.append(True)
+            raise InjectedError("softmax ran off the main thread" if on_helper else "caller")
+        if on_helper:
+            time.sleep(0.01)
+            done.append(True)
+        return plain(z, out=out)
+
+    monkeypatch.setattr(rrntn.models, "softmax", softmax_once)
+    with pytest.raises(InjectedError):
+        forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
+    finished = len(done)
+    time.sleep(0.05)
+    assert len(done) == finished  # nothing of that call still runs on the helper
+    loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
+    assert len(done) > finished
+    monkeypatch.setattr(rrntn.models, "_helper", None)
+    again, _, alone, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
+    assert loss == again
+    assert np.array_equal(cache.probs, alone.probs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_does_not_wait_on_the_parents_helper(monkeypatch, with_helper):
+    # the parent's helper thread does not exist in a forked child; a child
+    # that handed work to it would wait forever
+    spec = CONFIGS["r_lstm"]
+    params, chunk = _dropout_case(spec, 3)
+    monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
+    loss = forward_chunk(params, spec, chunk)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if forward_chunk(params, spec, chunk)[0] == loss else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -812,25 +887,34 @@ def test_backward_deterministic_without_dropout():
 
 @pytest.mark.parametrize("batch", [1, 20])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_compact_gradients_equal_dense_at_word_rows(name, batch):
+def test_compact_gradients_equal_dense_at_word_rows(monkeypatch, helper_pool, name, batch):
     # the compact blocks train_epoch gets against the default dense ones,
     # with dropout on, state carried in from a previous chunk and (B=20)
     # the first and last lanes reading one word, so one slice, at the
-    # chunk's first step
+    # chunk's first step; the same without a helper thread at the default
+    # R and with one at R = 3, where it takes part
     spec = CONFIGS[name]
     params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(4))
     ids = (Rng(5).uniform01(batch * 13) * spec.v).astype(np.int64).reshape(batch, 13)
     ids[-1, 6] = ids[0, 6]
     first = SequenceChunk(ids[:, :6], ids[:, 1:7], np.arange(6) == 0)
     second = SequenceChunk(ids[:, 6:12], ids[:, 7:13], np.zeros(6, dtype=bool))
-    _, _, _, state = forward_chunk(params, spec, first, mode="train", rng=Rng(2), p_drop=0.3)
-    grads = []
-    for compact in (False, True):
-        _, _, cache, _ = forward_chunk(params, spec, second, state, mode="train", rng=Rng(3),
-                                       p_drop=0.3)
-        rows = word_rows(spec, cache)
-        grads.append(backward_chunk(params, spec, cache, compact=compact)[0])
-    dense, compact = grads
+    runs = []
+    for helper, rows in ((None, eval_rows(spec)), (helper_pool, 3)):
+        monkeypatch.setattr(rrntn.models, "_helper", helper)
+        monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+        _, _, _, state = forward_chunk(params, spec, first, mode="train", rng=Rng(2), p_drop=0.3)
+        for compact in (False, True):
+            loss, _, cache, _ = forward_chunk(params, spec, second, state, mode="train",
+                                              rng=Rng(3), p_drop=0.3)
+            rows = word_rows(spec, cache)
+            runs.append((loss, *backward_chunk(params, spec, cache, compact=compact)))
+    for run, again in zip(runs[:2], runs[2:]):
+        assert again[0] == run[0]
+        assert list(again[1]) == list(run[1])
+        assert all(np.array_equal(again[1][block], g) for block, g in run[1].items())
+        assert all(np.array_equal(a, b) for a, b in zip(again[2], run[2], strict=True))
+    dense, compact = runs[0][1], runs[1][1]
     assert list(compact) == list(dense) == list(param_shapes(spec))
     for block, g in dense.items():
         assert g.shape == param_shapes(spec)[block]

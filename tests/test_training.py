@@ -1,4 +1,5 @@
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from synth import synth_corpus
 from test_gradients import CONFIGS
 import rrntn.evaluation
+import rrntn.models
 from rrntn.corpus import CorpusTooSmallError, EncodedSplit, chunk_sentences, chunk_stream
 from rrntn.linalg import Rng, clip_by_global_norm, global_norm
 from rrntn.mapping import slice_assignments
@@ -355,6 +357,48 @@ def test_gated_regime_runs_on_stream(tiny):
     params = init_params(spec, cfg.init, Rng(5))
     metrics = train_epoch(params, spec, cfg, stream, lr=cfg.lr0, rng=Rng(6))
     assert np.isfinite(metrics.train_ppl)
+
+
+@pytest.fixture
+def unmade_helper(monkeypatch):
+    """rrntn.models makes its helper afresh on first use in this test; the
+    one it makes is shut down afterwards."""
+    monkeypatch.setattr(rrntn.models, "_helper", rrntn.models._UNSET)
+    yield
+    if rrntn.models._helper not in (None, rrntn.models._UNSET):
+        rrntn.models._helper.shutdown(wait=True)
+
+
+@pytest.mark.parametrize("env, cpus, rows, threads", [
+    ({}, {0, 1}, 3, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 3, 0),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 3, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 40, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 3, 1),
+    ({"OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, 3, 1),
+], ids=["blas-unset", "one-cpu", "openblas-2", "one-block-windows", "openblas-1", "omp-1"])
+def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, unmade_helper, env, cpus,
+                                                   rows, threads):
+    # the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is set must
+    # read 1, the affinity mask hold two CPUs and a window (here 4 x 10
+    # rows) fill two or more output blocks of R rows; then three epochs
+    # share one helper thread, otherwise none starts
+    _, corpus, _ = tiny
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(rrntn.models.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    stream = EncodedSplit(corpus.train.ids, np.zeros(0, dtype=np.int64))
+    spec = ModelSpec("lstm", v=int(stream.ids.max()) + 1, h=6, e=5, k=2)
+    monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+    cfg = TrainConfig.gated(seed=5, t_bptt=10, batch=4, lr0=0.5,
+                            init=InitScheme.uniform(-0.1, 0.1))
+    params = init_params(spec, cfg.init, Rng(5))
+    before = threading.active_count()
+    for epoch in range(3):
+        train_epoch(params, spec, cfg, stream, lr=cfg.lr0, rng=Rng(6 + epoch))
+    assert threading.active_count() - before == threads
 
 
 def test_window_memory_does_not_carry_over():
