@@ -11,8 +11,10 @@ order of the surface form, which makes rebuilds deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -109,18 +111,24 @@ def build_vocab(tokens, min_count: int = 1, max_size: int | None = None) -> Voca
         raise EmptyCorpusError("token stream is empty")
 
     unk_count = counts.pop(UNK_TOKEN, 0)
-    items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [(w, c) for w, c in items if c >= min_count]
+    # Rank by count, most frequent first, ties in word order: a stable sort
+    # by count of the words in word order, both with C-level keys.
+    words = sorted(counts)
+    words.sort(key=counts.__getitem__, reverse=True)
+    freq = [counts[w] for w in words]
+    n_kept = bisect_right(freq, -min_count, key=neg)  # the prefix with count >= min_count
     if max_size is not None:
-        kept = kept[:max_size]
-    unk_count += sum(c for w, c in items) - sum(c for w, c in kept)
+        n_kept = min(n_kept, max_size)
+    unk_count += sum(freq[n_kept:])
 
-    ranked = sorted(kept + [(UNK_TOKEN, unk_count)], key=lambda kv: (-kv[1], kv[0]))
-    words = [w for w, _ in ranked]
+    # <unk> ranks among the kept words by its own count, ties in word order.
+    at = bisect_left(range(n_kept), (-unk_count, UNK_TOKEN), key=lambda i: (-freq[i], words[i]))
+    words[at:] = [UNK_TOKEN, *words[at:n_kept]]
+    freq[at:] = [unk_count, *freq[at:n_kept]]
     id_of = {w: i for i, w in enumerate(words)}
     return Vocabulary(
         words=words,
-        counts=np.asarray([c for _, c in ranked], dtype=np.int64),
+        counts=np.asarray(freq, dtype=np.int64),
         id_of=id_of,
         unk_id=id_of[UNK_TOKEN],
         eos_id=id_of.get(EOS_TOKEN),

@@ -176,16 +176,21 @@ def param_count_formula(spec: ModelSpec) -> str:
 
 
 def init_params(spec: ModelSpec, init: InitScheme, rng: Rng) -> dict[str, np.ndarray]:
-    """Draw all parameter arrays in canonical order from one stream."""
+    """Draw all parameter arrays in canonical order from one stream.
+
+    Each block is allocated once and its draws are formed into it piece by
+    piece (see linalg.PIECE), so init peaks at about the parameters' bytes.
+    """
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(spec).items():
-        n = prod(shape)
+        block = params[name] = np.empty(shape)
+        flat = block.reshape(-1)
         if name.startswith("b_") and init.bias == "zero":
-            params[name] = np.zeros(shape)
+            flat.fill(0.0)
         elif init.kind == "gaussian":
-            params[name] = sample_gaussian(rng, 0.0, init.stddev, n).reshape(shape)
+            sample_gaussian(rng, 0.0, init.stddev, flat.size, out=flat)
         else:
-            params[name] = sample_uniform(rng, init.lo, init.hi, n).reshape(shape)
+            sample_uniform(rng, init.lo, init.hi, flat.size, out=flat)
     return params
 
 

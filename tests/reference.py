@@ -14,17 +14,88 @@ slice bookkeeping.
 
 perplexity_per_window is the evaluation reference: one B=1 forward per
 t_bptt window of each sentence, summed window by window in corpus order.
+
+WholeArrayRng, sample_uniform and sample_gaussian are the random-number
+reference: the SplitMix64 stream and its samplers written as whole-array
+passes, one block-sized array per step. They share no code with
+rrntn.linalg, which forms the same draws piece by piece into its output.
+vocab_ranking is build_vocab's ranking written as two full sorts.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from rrntn.corpus import EncodedSplit, chunk_sentences
-from rrntn.linalg import softmax
 from rrntn.models import forward_chunk
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(x):
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class WholeArrayRng:
+    """Draw i of seed s is mix64(s + (i+1) * golden), n draws in one pass."""
+
+    def __init__(self, seed):
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.pos = 0
+
+    def raw64(self, n):
+        idx = np.arange(self.pos + 1, self.pos + n + 1, dtype=np.uint64)
+        self.pos += n
+        return _mix64(np.uint64(self.seed) + idx * _GOLDEN)
+
+    def uniform01(self, n):
+        return (self.raw64(n) >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+
+
+def sample_uniform(rng, lo, hi, n):
+    return lo + (hi - lo) * rng.uniform01(n)
+
+
+def sample_gaussian(rng, mean, stddev, n):
+    """Box-Muller: the m = ceil(n/2) cos halves, then the sin halves, cut to n."""
+    if n == 0:
+        return np.zeros(0)
+    m = (n + 1) // 2
+    u1 = rng.uniform01(m)
+    u2 = rng.uniform01(m)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = (2.0 * np.pi) * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return mean + stddev * z
+
+
+def vocab_ranking(tokens, min_count=1, max_size=None):
+    """(words, counts) ranked by count, ties in word order, <unk> ranked by
+    its own count after the cut words are folded into it."""
+    counts = Counter(tokens)
+    unk_count = counts.pop("<unk>", 0)
+    items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    kept = [(w, c) for w, c in items if c >= min_count]
+    if max_size is not None:
+        kept = kept[:max_size]
+    unk_count += sum(c for w, c in items) - sum(c for w, c in kept)
+    ranked = sorted(kept + [("<unk>", unk_count)], key=lambda kv: (-kv[1], kv[0]))
+    return [w for w, _ in ranked], [c for _, c in ranked]
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _softmax(z):
+    e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def _output_losses(params, hs, targets):
@@ -35,7 +106,7 @@ def _output_losses(params, hs, targets):
     """
     t_len, b = len(hs), targets.shape[0]
     hd = np.stack(hs).reshape(t_len * b, -1)
-    probs = list(softmax(hd @ params["w_out"].T + params["b_out"]).reshape(t_len, b, -1))
+    probs = list(_softmax(hd @ params["w_out"].T + params["b_out"]).reshape(t_len, b, -1))
     loss = 0.0
     b_idx = np.arange(b)
     for t, p in enumerate(probs):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from rrntn.corpus import (
     CorpusTooSmallError,
     EmptyCorpusError,
@@ -17,6 +18,23 @@ from rrntn.corpus import (
     sentence_token_stream,
     split_stream_bytes,
 )
+
+
+@pytest.mark.parametrize("min_count, max_size", [(1, None), (2, None), (1, 7), (3, 4), (1, 1)])
+def test_build_vocab_ranking_equals_two_full_sorts(min_count, max_size):
+    # Counts 1..4 over 40 words tie heavily, and <unk> itself is tied: it
+    # occurs 3 times before the cut words fold into it. Half the words sort
+    # before "<unk>", half after.
+    rng = np.random.default_rng(5)
+    names = [f"{i:02d}" if i % 2 else f"w{i:02d}" for i in range(40)]
+    tokens = [w for i, w in enumerate(names) for _ in range(1 + i % 4)] + [UNK_TOKEN] * 3
+    tokens = [tokens[i] for i in rng.permutation(len(tokens))]
+    vocab = build_vocab(tokens, min_count=min_count, max_size=max_size)
+    words, counts = reference.vocab_ranking(tokens, min_count, max_size)
+    assert vocab.words == words
+    assert vocab.counts.tolist() == counts
+    assert vocab.id_of == {w: i for i, w in enumerate(words)}
+    assert vocab.unk_id == words.index(UNK_TOKEN)
 
 
 def test_build_vocab_counts_and_ranks():

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from rrntn.linalg import (
+    PIECE,
     Rng,
     clip_by_global_norm,
     dropout_mask,
@@ -158,3 +160,71 @@ def test_stream_position_advances():
     assert not np.array_equal(first, second)
     both = Rng(3).uniform01(8)
     assert np.array_equal(np.concatenate([first, second]), both)
+
+
+P = PIECE
+PIECE_EDGES = [0, 1, 2, 3, P - 1, P, P + 1, 2 * P - 1, 2 * P, 2 * P + 1, 4 * P + 5]
+SAMPLERS = {
+    "uniform01": (lambda rng, n, **kw: rng.uniform01(n, **kw),
+                  lambda ref, n: ref.uniform01(n)),
+    "uniform": (lambda rng, n, **kw: sample_uniform(rng, -0.05, 0.05, n, **kw),
+                lambda ref, n: reference.sample_uniform(ref, -0.05, 0.05, n)),
+    "gaussian": (lambda rng, n, **kw: sample_gaussian(rng, 0.0, 0.001, n, **kw),
+                 lambda ref, n: reference.sample_gaussian(ref, 0.0, 0.001, n)),
+    "gaussian-shifted": (lambda rng, n, **kw: sample_gaussian(rng, 0.5, 2.0, n, **kw),
+                         lambda ref, n: reference.sample_gaussian(ref, 0.5, 2.0, n)),
+}
+
+
+@pytest.mark.parametrize("earlier", [0, 5])
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_pieced_draws_equal_the_whole_array_reference(kind, earlier):
+    # Sizes on both sides of each piece edge, from a fresh stream and after
+    # earlier draws; the stream must end where the reference's does.
+    draw, ref_draw = SAMPLERS[kind]
+    for n in PIECE_EDGES:
+        rng, ref = Rng(41), reference.WholeArrayRng(41)
+        rng.uniform01(earlier)
+        ref.uniform01(earlier)
+        got, want = draw(rng, n), ref_draw(ref, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+        assert np.array_equal(rng.uniform01(3), ref.uniform01(3)), n
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_draws_into_out_equal_fresh_draws(kind):
+    draw, _ = SAMPLERS[kind]
+    n = P + 3
+    out = np.full(n, np.nan)
+    assert draw(Rng(9), n, out=out) is out
+    assert np.array_equal(out, draw(Rng(9), n))
+
+
+def test_raw_draws_equal_the_whole_array_reference():
+    for n in PIECE_EDGES:
+        assert np.array_equal(Rng(2**64 - 1).raw64(n), reference.WholeArrayRng(2**64 - 1).raw64(n))
+
+
+@pytest.mark.parametrize("p", [0, 1, 7, P - 1, P, 2 * P + 1])
+def test_at_continues_the_stream(p):
+    rng = Rng(17)
+    rng.uniform01(p)
+    assert np.array_equal(Rng(17).at(p).uniform01(P + 2), rng.uniform01(P + 2))
+
+
+def test_at_rejects_a_negative_position():
+    with pytest.raises(ValueError):
+        Rng(0).at(-1)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+@pytest.mark.parametrize("bad", [
+    np.empty(9),  # wrong size
+    np.empty((2, 4)),  # right size, wrong shape
+    np.empty(8, dtype=np.float32),
+    np.empty(16)[::2],  # not contiguous
+])
+def test_out_must_match_exactly(kind, bad):
+    draw, _ = SAMPLERS[kind]
+    with pytest.raises(ValueError, match="out must be"):
+        draw(Rng(0), 8, out=bad)

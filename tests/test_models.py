@@ -4,11 +4,13 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import reference
 from test_gradients import CONFIGS
 import rrntn.models
 from rrntn.corpus import SequenceChunk
@@ -115,6 +117,35 @@ def test_init_zero_bias_mode():
     assert np.all(params["b_out"] == 0)
     assert np.any(params["w_emb"] != 0)
 
+
+
+@pytest.mark.parametrize("init", [InitScheme.gaussian(0.1), InitScheme.uniform(-0.05, 0.05)])
+def test_init_peak_is_the_parameters(init):
+    # Draws are formed into each block piece by piece: no block-sized temporary.
+    spec = ModelSpec("rrntn", v=1000, h=32, k=1000, policy="identity")
+    tracemalloc.start()
+    try:
+        params = init_params(spec, init, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(p.nbytes for p in params.values()) + (1 << 20)
+
+
+@pytest.mark.parametrize("init", [InitScheme.gaussian(0.1), InitScheme.uniform(-0.05, 0.05),
+                                  InitScheme.gaussian(0.1, bias="zero")])
+def test_init_blocks_follow_one_stream_in_canonical_order(init):
+    spec = ModelSpec("gru", v=40, h=12, e=9, k=5)
+    params = init_params(spec, init, Rng(4))
+    ref = reference.WholeArrayRng(4)
+    for name, block in params.items():
+        if name.startswith("b_") and init.bias == "zero":
+            want = np.zeros(block.size)
+        elif init.kind == "gaussian":
+            want = reference.sample_gaussian(ref, 0.0, init.stddev, block.size)
+        else:
+            want = reference.sample_uniform(ref, init.lo, init.hi, block.size)
+        assert block.flags.c_contiguous and np.array_equal(block.reshape(-1), want), name
 
 # ---------------------------------------------------------------------------
 # parameter counts (frozen closed-form integers)
