@@ -338,7 +338,7 @@ def eval_rows(spec: ModelSpec) -> int:
 
 
 # The helper thread: one worker that runs part of a window's output layer and
-# gradients beside the caller (see _Share). It is made on first use, and only
+# gradients beside the caller (see _split). It is made on first use, and only
 # when _spare_core(); otherwise it is None and its share runs on the caller.
 # Tests set it to a pool or None.
 _UNSET = object()
@@ -378,41 +378,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-class _Share:
-    """The calls one function hands to the helper thread, for a chunk of
-    `rows` rows (T*B).
+def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
+    """The helper for a chunk of `rows` rows (T*B), or None. It takes part
+    only where the output layer runs in two or more blocks; a one-block
+    chunk, such as a simple-regime window or an evaluation run, has too
+    little work to hand over."""
+    return _helper_pool() if rows > eval_rows(spec) else None
 
-    The helper takes part only in a chunk whose output layer runs in two or
-    more blocks (rows > eval_rows(spec)); a one-block chunk, such as a
-    simple-regime window or an evaluation run, has too little work to hand
-    over, so it runs as without a helper. start(fn, *args, **kwargs) runs fn
-    on the helper, in the caller's context (numpy's error state included),
-    or here at once when there is no helper. Leaving the with block joins
-    every started call, also when the block raises; then a helper's
-    exception is raised, unless the block's own exception is already on its
-    way. The caller allocates every output a started call writes, and the
-    helper never writes a parameter.
+
+def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[Callable]) -> None:
+    """Run the zero-argument calls `theirs` on pool and `mine` here, then join.
+
+    Each of theirs is submitted, in a copy of the caller's context (numpy's
+    error state included), before the first of mine starts; without a pool,
+    theirs run here first. Every call runs except those of mine after one
+    that raises. All of theirs are joined before an error leaves: one of
+    mine first, else the first of theirs. The caller allocates every output
+    a call writes and no call writes a parameter, so each is the same NumPy
+    call on the same rows on either thread, and the helper moves no bit.
     """
-
-    def __init__(self, spec: ModelSpec, rows: int):
-        self.pool = _helper_pool() if rows > eval_rows(spec) else None
-        self.futures = []
-
-    def __enter__(self) -> "_Share":
-        return self
-
-    def start(self, fn, *args, **kwargs) -> None:
-        if self.pool is None:
-            fn(*args, **kwargs)
-        else:
-            run = contextvars.copy_context().run
-            self.futures.append(self.pool.submit(run, fn, *args, **kwargs))
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        wait(self.futures)
-        if exc_type is None:
-            for future in self.futures:
-                future.result()
+    futures, errors = [], []
+    for fn in theirs:
+        if pool is not None:
+            futures.append(pool.submit(contextvars.copy_context().run, fn))
+            continue
+        try:
+            fn()
+        except Exception as exc:  # held back as the helper's would be
+            errors.append(exc)
+    try:
+        for fn in mine:
+            fn()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[0]
 
 
 def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
@@ -428,24 +430,18 @@ def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
     share one scratch block, and each value is -log(e[target] / sum(e)) from
     the max-shifted exponentials e, without dividing the whole row.
 
-    With two or more blocks the helper thread (see _Share) runs every other
-    block, into its own scratch block when there is no probs, and the caller
-    joins it before returning. Each block makes the same calls on the same
-    rows on either thread.
+    The helper thread runs every other block (see _split), into a second
+    scratch block when there is no probs.
     """
     flat_hd, targets = hd.reshape(-1, spec.h), targets.T.reshape(-1)
     nll = np.empty(targets.size)
     blocks = np.array_split(np.arange(nll.size), -(-nll.size // eval_rows(spec)))
     scratch = probs is None
     logits = np.empty((blocks[0].size, spec.v)) if scratch else probs.reshape(-1, spec.v)
-    if len(blocks) == 1:
-        _output_blocks(params, flat_hd, targets, blocks, logits, scratch, nll)
-    else:
-        with _Share(spec, nll.size) as share:
-            theirs = np.empty_like(logits) if scratch and share.pool else logits
-            share.start(_output_blocks, params, flat_hd, targets, blocks[1::2], theirs, scratch,
-                        nll)
-            _output_blocks(params, flat_hd, targets, blocks[::2], logits, scratch, nll)
+    pool = _helper_for(spec, nll.size)
+    helper_logits = np.empty_like(logits) if scratch and pool else logits
+    run = partial(_output_blocks, params, flat_hd, targets, scratch=scratch, nll=nll)
+    _split(pool, [partial(run, blocks[::2], logits)], [partial(run, blocks[1::2], helper_logits)])
     return nll.reshape(hd.shape[:2])
 
 
@@ -588,13 +584,12 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     ValueError. The reverse time loop carries only the recurrence;
     gradient_stage then forms the recurrence gradients.
 
-    Once the targets are subtracted, the helper thread (see _Share) forms
-    b_out's gradient and then dh_out while the caller forms w_out's; the
-    caller joins it and frees the logit gradients before the reverse loop.
-    The w_out product is the one call whose BLAS packing buffer is large
-    (about 27 MB at V = 10k, T*B = 700), and starting it on the caller,
-    before the helper reaches a BLAS call, keeps it in the buffer the
-    caller's calls have already touched.
+    Once the targets are subtracted, the helper thread (see _split) forms
+    b_out's gradient and then dh_out while the caller forms w_out's, and the
+    logit gradients are freed before the reverse loop. The w_out product is
+    the one call whose BLAS packing buffer is large (about 27 MB at V = 10k,
+    T*B = 700), and starting it on the caller, before the helper reaches a
+    BLAS call, keeps it in the buffer the caller's calls have already touched.
     """
     b, t_len = cache.inputs.shape
     backward = _CELLS[spec.family].backward
@@ -607,10 +602,10 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     flat_dl[np.arange(t_len * b), cache.targets.T.reshape(-1)] -= 1.0
     grads = {"w_out": np.empty(params["w_out"].shape), "b_out": np.empty(params["b_out"].shape)}
     dh_out = np.empty((t_len, b, spec.h))
-    with _Share(spec, t_len * b) as share:
-        share.start(np.sum, flat_dl, axis=0, out=grads["b_out"])
-        share.start(np.matmul, flat_dl, params["w_out"], out=dh_out.reshape(t_len * b, spec.h))
-        np.matmul(flat_dl.T, cache.hd.reshape(t_len * b, spec.h), out=grads["w_out"])
+    _split(_helper_for(spec, t_len * b),
+           [partial(np.matmul, flat_dl.T, cache.hd.reshape(t_len * b, spec.h), out=grads["w_out"])],
+           [partial(np.sum, flat_dl, axis=0, out=grads["b_out"]),
+            partial(np.matmul, flat_dl, params["w_out"], out=dh_out.reshape(t_len * b, spec.h))])
     del flat_dl  # the (T*B, V) logit gradients are done with
     if len(cache.out_masks):
         dh_out *= cache.out_masks
@@ -642,10 +637,8 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
     index only: a word block holds the columns of the unique input ids, a
     sliced block one row per touched slice, each in ascending order.
 
-    The dx_in products and the shared and sliced blocks alternate between the
-    caller and the helper thread (see _Share), the helper taking every other
-    one; the caller runs the word scatters and joins the helper before it
-    sums dx_in and returns.
+    The helper thread takes every other dx_in product and shared or sliced
+    block (see _split); the caller runs the rest and then the word scatters.
     """
     cell = _CELLS[spec.family]
     n = cache.inputs.size
@@ -673,14 +666,13 @@ def gradient_stage(params, spec: ModelSpec, cache: ForwardCache, dpre) -> dict[s
             grads[name] = np.empty((starts.size, *shape[1:]) if by == "slice" else shape)
             groups = by_slice if by == "slice" else [(..., slice(None))]
             work.append(partial(_group_gradients, grads[name], dpre[j], xs.get(key), groups))
-    with _Share(spec, n) as share:
-        for fn in work[1::2]:
-            share.start(fn)
-        for fn in work[::2]:
-            fn()
+
+    def scatter_words():
         for name, axes, j, key in cell.blocks:
             if _selected_by(axes) == "word":
                 grads[name] = _scatter_columns(cols.size, col_of, dpre[j] * xs[key])
+
+    _split(_helper_for(spec, n), [*work[::2], scatter_words], work[1::2])
 
     # a cell without input weights adds the embedding straight into pre-activation 0
     dx_in = products[0] if inputs else dpre[0]

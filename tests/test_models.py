@@ -445,7 +445,8 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
     # train mode writes the probabilities R rows at a time; R = 3 and R = 4
     # must give the bits of one whole block, also where R does not divide
     # the chunk's T*B = 7*B rows, and so must every R with a helper thread
-    # taking every other block and part of the gradients
+    # taking every other block and part of the gradients; the same for eval
+    # mode's losses and state, where the helper gets its own scratch block
     spec = CONFIGS[name]
     params, chunk = _dropout_case(spec, batch)
     whole = eval_rows(spec)
@@ -455,10 +456,11 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
         loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
                                           p_drop=0.3)
         probs = cache.probs.copy()
-        return loss, probs, *backward_chunk(params, spec, cache)
+        _, _, nll, state = forward_chunk(params, spec, chunk)
+        return loss, probs, *backward_chunk(params, spec, cache), nll, state
 
     monkeypatch.setattr(rrntn.models, "_helper", None)
-    loss, probs, grads, dstate = run()
+    loss, probs, grads, dstate, nll, state = run()
     for helper, rows in itertools.product((None, helper_pool), (whole, 3, 4)):
         monkeypatch.setattr(rrntn.models, "_helper", helper)
         monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
@@ -469,10 +471,59 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
         for block in grads:
             assert np.array_equal(blocked[2][block], grads[block]), (helper, rows, block)
         assert all(np.array_equal(a, b) for a, b in zip(blocked[3], dstate, strict=True))
+        assert np.array_equal(blocked[4], nll), (helper, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(blocked[5], state, strict=True))
 
 
 class InjectedError(RuntimeError):
     pass
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
+def test_split_runs_theirs_on_the_helper_in_the_callers_errstate(helper_pool, pooled):
+    # with a pool, theirs run on its thread and mine on the caller; without
+    # one, every call runs on the caller, theirs first. Every call runs
+    # under the caller's np.errstate: the suite turns warnings into errors,
+    # so a log(0) would raise without it
+    calls = []
+
+    def record(name):
+        def fn():
+            np.log(np.zeros(1))
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+        return fn
+
+    with np.errstate(divide="ignore"):
+        rrntn.models._split(helper_pool if pooled else None, [record("m0"), record("m1")],
+                            [record("t0"), record("t1")])
+    assert sorted(calls) == [("m0", True), ("m1", True), ("t0", not pooled), ("t1", not pooled)]
+    order = [name for name, _ in calls]
+    assert [name for name in order if name[0] == "m"] == ["m0", "m1"]
+    assert [name for name in order if name[0] == "t"] == ["t0", "t1"]
+    assert pooled or order == ["t0", "t1", "m0", "m1"]
+
+
+@pytest.mark.parametrize("raising", ["mine", "theirs"])
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
+def test_split_raises_only_after_both_sides_ran(helper_pool, pooled, raising):
+    # an error in mine leaves only once theirs are done, and one in theirs
+    # only once mine have run; the calls on the other side all run
+    done = []
+
+    def finish(name):
+        def fn():
+            time.sleep(0.01)
+            done.append(name)
+        return fn
+
+    def fail():
+        raise InjectedError(raising)
+
+    mine = [fail] if raising == "mine" else [finish("m0"), finish("m1")]
+    theirs = [fail, finish("t1")] if raising == "theirs" else [finish("t0"), finish("t1")]
+    with pytest.raises(InjectedError, match=raising):
+        rrntn.models._split(helper_pool if pooled else None, mine, theirs)
+    assert sorted(done) == (["t0", "t1"] if raising == "mine" else ["m0", "m1", "t1"])
 
 
 @pytest.mark.parametrize("raising", ["helper", "caller"])
@@ -938,7 +989,7 @@ def test_compact_gradients_equal_dense_at_word_rows(monkeypatch, helper_pool, na
         for compact in (False, True):
             loss, _, cache, _ = forward_chunk(params, spec, second, state, mode="train",
                                               rng=Rng(3), p_drop=0.3)
-            rows = word_rows(spec, cache)
+            index = word_rows(spec, cache)
             runs.append((loss, *backward_chunk(params, spec, cache, compact=compact)))
     for run, again in zip(runs[:2], runs[2:]):
         assert again[0] == run[0]
@@ -949,7 +1000,7 @@ def test_compact_gradients_equal_dense_at_word_rows(monkeypatch, helper_pool, na
     assert list(compact) == list(dense) == list(param_shapes(spec))
     for block, g in dense.items():
         assert g.shape == param_shapes(spec)[block]
-        expected = g[rows[block]] if block in rows else g
+        expected = g[index[block]] if block in index else g
         assert np.array_equal(compact[block], expected), block
 
 
