@@ -254,16 +254,17 @@ def input_stage(params, spec: ModelSpec, inputs: np.ndarray, emb_masks=None):
     inputs is (B, T). Returns (x_in, xw): x_in is the (T, B, E) block of
     embedding rows, multiplied by emb_masks (T, B, E) when given, and xw is
     (n, T, B, H), one x_in @ W.T block per input weight of the cell (its
-    blocks on "x_in", in order), each computed as one (T*B, E) product.
+    blocks on "x_in", in order), each computed as one (T*B, E) product. The
+    helper thread takes every other product whole (see _split).
     """
     b, t_len = inputs.shape
-    x_in = params["w_emb"][:, inputs.T.reshape(-1)].T
+    x_in = np.take(params["w_emb"], inputs.T.reshape(-1), axis=1).T
     if emb_masks is not None:
         x_in = x_in * emb_masks.reshape(t_len * b, spec.e)
     names = [name for name, _, _, key in _CELLS[spec.family].blocks if key == "x_in"]
     xw = np.empty((len(names), t_len * b, spec.h))
-    for j, name in enumerate(names):
-        np.matmul(x_in, params[name].T, out=xw[j])
+    work = [partial(np.matmul, x_in, params[name].T, out=xw[j]) for j, name in enumerate(names)]
+    _split(_helper_for(spec, t_len * b), work[::2], work[1::2])
     return x_in.reshape(t_len, b, spec.e), xw.reshape(len(names), t_len, b, spec.h)
 
 
@@ -337,10 +338,18 @@ def eval_rows(spec: ModelSpec) -> int:
     return max(1, EVAL_BLOCK_BYTES // (8 * spec.v))
 
 
-# The helper thread: one worker that runs part of a window's output layer and
-# gradients beside the caller (see _split). It is made on first use, and only
-# when _spare_core(); otherwise it is None and its share runs on the caller.
-# Tests set it to a pool or None.
+# The helper thread takes part in a chunk whose output product, rows * H * V
+# multiply-adds, reaches this many. At V = 10k, gated eval runs (200 rows,
+# H = 254: 5.1e8) split between the threads raised the benchmark's gated
+# eval_tok_s by 27% (10/10 alternating pairs), while simple's 209-row runs
+# (H = 100: 2.1e8) split in two scored 0.83-0.95x in same-process passes.
+HELPER_MIN_MADDS = 1 << 28
+
+
+# The helper thread: one worker that runs part of a chunk's input products,
+# output layer and gradients beside the caller (see _split). It is made on
+# first use, and only when _spare_core(); otherwise it is None and its share
+# runs on the caller. Tests set it to a pool or None.
 _UNSET = object()
 _helper: ThreadPoolExecutor | None | object = _UNSET
 _helper_lock = threading.Lock()
@@ -380,10 +389,10 @@ if hasattr(os, "register_at_fork"):
 
 def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
     """The helper for a chunk of `rows` rows (T*B), or None. It takes part
-    only where the output layer runs in two or more blocks; a one-block
-    chunk, such as a simple-regime window or an evaluation run, has too
-    little work to hand over."""
-    return _helper_pool() if rows > eval_rows(spec) else None
+    only where the chunk's output product reaches HELPER_MIN_MADDS: a gated
+    window or evaluation run, but not a simple-regime window or evaluation
+    run, which have too little work to hand over."""
+    return _helper_pool() if rows * spec.h * spec.v >= HELPER_MIN_MADDS else None
 
 
 def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[Callable]) -> None:
@@ -396,6 +405,9 @@ def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[C
     mine first, else the first of theirs. The caller allocates every output
     a call writes and no call writes a parameter, so each is the same NumPy
     call on the same rows on either thread, and the helper moves no bit.
+
+    No call in theirs may itself call _split: the pool's one worker would
+    then wait on its own queue, and the caller on that worker, for ever.
     """
     futures, errors = [], []
     for fn in theirs:
@@ -423,22 +435,31 @@ def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
     (T, B, H) output-layer inputs hd.
 
     Runs in near-equal blocks of at most R = eval_rows(spec) contiguous rows.
-    Any block of 2 or more rows gives each row the same bits, and for R >= 3
-    a one-row block (a matrix-vector product) comes only from a one-row
-    chunk. Given a (T, B, V) probs, softmax normalises each block in place in
-    its rows there, and each value is -log(p[target]). Otherwise the blocks
+    Given a (T, B, V) probs, softmax normalises each block in place in its
+    rows there, and each value is -log(p[target]). Otherwise the blocks
     share one scratch block, and each value is -log(e[target] / sum(e)) from
     the max-shifted exponentials e, without dividing the whole row.
 
-    The helper thread runs every other block (see _split), into a second
-    scratch block when there is no probs.
+    Where the helper thread takes part (see _helper_for), a chunk of four or
+    more rows runs in at least two blocks, and the helper runs every other
+    block (see _split), into a second scratch block when there is no probs.
+
+    The blocks can move the last bits of a loss: BLAS may round a row of a
+    product differently beside a different number of rows. At V = 10k
+    (H = 100 with 209 rows, H = 254 with 200 rows) no R measured changed a
+    bit. At small V*H some did: at V = 500, H = 32, one lane of 600 rows,
+    R = 2 changed 63 losses and R = 3 to 64 none; at V = 300, H = 32 and 400
+    rows, R = 2 and R = 3 each changed 35. A one-row block is a
+    matrix-vector product, and for R >= 3 it comes only from a one-row chunk.
     """
     flat_hd, targets = hd.reshape(-1, spec.h), targets.T.reshape(-1)
     nll = np.empty(targets.size)
-    blocks = np.array_split(np.arange(nll.size), -(-nll.size // eval_rows(spec)))
+    pool = _helper_for(spec, nll.size)
+    # the helper gets one of at least two blocks, none of them a single row
+    count = max(-(-nll.size // eval_rows(spec)), 2 if pool and nll.size >= 4 else 1)
+    blocks = np.array_split(np.arange(nll.size), count)
     scratch = probs is None
     logits = np.empty((blocks[0].size, spec.v)) if scratch else probs.reshape(-1, spec.v)
-    pool = _helper_for(spec, nll.size)
     helper_logits = np.empty_like(logits) if scratch and pool else logits
     run = partial(_output_blocks, params, flat_hd, targets, scratch=scratch, nll=nll)
     _split(pool, [partial(run, blocks[::2], logits)], [partial(run, blocks[1::2], helper_logits)])

@@ -119,13 +119,20 @@ def train_passes(h, params, spec):
 
 @contextmanager
 def three_row_blocks(spec):
-    """Inside the block, the output layer forms at most three rows at once."""
+    """Inside the block, the output layer forms at most three rows at once,
+    and a helper thread, where there is one, takes part in every chunk."""
     block = rrntn.models.EVAL_BLOCK_BYTES
+    madds = getattr(rrntn.models, "HELPER_MIN_MADDS", None)  # older trees lack it
     rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
+    rrntn.models.HELPER_MIN_MADDS = 1
     try:
         yield
     finally:
         rrntn.models.EVAL_BLOCK_BYTES = block
+        if madds is None:
+            del rrntn.models.HELPER_MIN_MADDS
+        else:
+            rrntn.models.HELPER_MIN_MADDS = madds
 
 
 def epoch(h, spec, cfg, split, windows):

@@ -80,6 +80,8 @@ def test_fingerprint_matches_the_pins(request, capsys, helper):
             pytest.skip(f"no fingerprint pins for {key!r}")
         fingerprint.main()
     assert capsys.readouterr().out.splitlines() == pins[key]
+    if helper == "with_helper":
+        assert request.getfixturevalue("helper_pool").calls > 0
 
 
 if __name__ == "__main__":

@@ -445,12 +445,14 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
     # train mode writes the probabilities R rows at a time; R = 3 and R = 4
     # must give the bits of one whole block, also where R does not divide
     # the chunk's T*B = 7*B rows, and so must every R with a helper thread
-    # taking every other block and part of the gradients; the same for eval
-    # mode's losses and state, where the helper gets its own scratch block
+    # taking every other block and part of the gradients (at R = whole, two
+    # blocks from B = 1 on); the same for eval mode's losses and state, where
+    # the helper gets its own scratch block
     spec = CONFIGS[name]
     params, chunk = _dropout_case(spec, batch)
     whole = eval_rows(spec)
     assert whole >= chunk.inputs.size
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
 
     def run():
         loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2),
@@ -465,7 +467,9 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
         monkeypatch.setattr(rrntn.models, "_helper", helper)
         monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
         assert eval_rows(spec) == rows
+        calls = helper_pool.calls
         blocked = run()
+        assert (helper_pool.calls > calls) == (helper is not None)
         assert blocked[0] == loss
         assert np.array_equal(blocked[1], probs)
         for block in grads:
@@ -473,6 +477,53 @@ def test_blocked_train_output_layer_keeps_every_bit(monkeypatch, helper_pool, na
         assert all(np.array_equal(a, b) for a, b in zip(blocked[3], dstate, strict=True))
         assert np.array_equal(blocked[4], nll), (helper, rows)
         assert all(np.array_equal(a, b) for a, b in zip(blocked[5], state, strict=True))
+
+
+# The benchmark's shapes, each chunk's rows * H * V against HELPER_MIN_MADDS
+# (2^28 = 2.7e8): gated windows 700 * 254 * 10k = 1.8e9 and evaluation runs
+# 200 * 254 * 10k = 5.1e8 take the helper; simple evaluation runs
+# 209 * 100 * 10k = 2.1e8 (split in two they scored 0.83-0.95x) and windows of at
+# most 20 rows, 2e7, do not.
+@pytest.mark.parametrize("spec, rows, helped", [
+    (ModelSpec("lstm", v=10_000, h=254, e=650, k=100), 700, True),
+    (ModelSpec("lstm", v=10_000, h=254, e=650, k=100), 200, True),
+    (ModelSpec("rrntn", v=10_000, h=100, k=100), 209, False),
+    (ModelSpec("rrntn", v=10_000, h=100, k=100), 20, False),
+], ids=["gated-window", "gated-eval", "simple-eval", "simple-window"])
+def test_helper_takes_part_by_output_product(with_helper, spec, rows, helped):
+    assert rrntn.models._helper_for(spec, rows) is (with_helper if helped else None)
+
+
+def test_helper_at_its_threshold_keeps_every_bit(monkeypatch, helper_pool):
+    # at 256 rows * H 256 * V 4096 = 2^28 the helper takes part at the
+    # default sizes: it runs two of the four input products and one of two
+    # 128-row output blocks, then two input products again, and eval mode's
+    # losses and state and input_stage's xw are those of the one-block run
+    # without it
+    spec = ModelSpec("lstm", v=4096, h=256, e=32, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.1, 0.1), Rng(4))
+    ids = (Rng(5).uniform01(4 * 65) * spec.v).astype(np.int64).reshape(4, 65)
+    chunk = SequenceChunk(ids[:, :-1], ids[:, 1:], np.arange(64) == 0)
+    assert chunk.inputs.size * spec.h * spec.v == rrntn.models.HELPER_MIN_MADDS
+    assert eval_rows(spec) >= chunk.inputs.size
+    output_blocks, blocks = rrntn.models._output_blocks, []
+
+    def recording(params, flat_hd, targets, run, *args, **kwargs):
+        on_caller = threading.current_thread() is threading.main_thread()
+        blocks.extend((on_caller, block.size) for block in run)
+        return output_blocks(params, flat_hd, targets, run, *args, **kwargs)
+
+    monkeypatch.setattr(rrntn.models, "_output_blocks", recording)
+    runs = []
+    for helper in (None, helper_pool):
+        monkeypatch.setattr(rrntn.models, "_helper", helper)
+        calls, blocks[:] = helper_pool.calls, []
+        _, _, nll, state = forward_chunk(params, spec, chunk)
+        xw = input_stage(params, spec, chunk.inputs)[1]
+        runs.append((nll, *state, xw))
+        assert (helper_pool.calls - calls == 2 + 1 + 2) == (helper is not None)
+        assert sorted(blocks) == ([(False, 128), (True, 128)] if helper else [(True, 256)])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
 
 
 class InjectedError(RuntimeError):
@@ -534,6 +585,7 @@ def test_helper_joins_before_an_error_leaves_the_forward(monkeypatch, with_helpe
     spec = CONFIGS["r_lstm"]
     params, chunk = _dropout_case(spec, 3)
     monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
     assert chunk.inputs.size > 2 * eval_rows(spec)
     plain, done, raised = rrntn.models.softmax, [], []
 
@@ -553,8 +605,9 @@ def test_helper_joins_before_an_error_leaves_the_forward(monkeypatch, with_helpe
     finished = len(done)
     time.sleep(0.05)
     assert len(done) == finished  # nothing of that call still runs on the helper
+    calls = with_helper.calls
     loss, _, cache, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
-    assert len(done) > finished
+    assert len(done) > finished and with_helper.calls > calls
     monkeypatch.setattr(rrntn.models, "_helper", None)
     again, _, alone, _ = forward_chunk(params, spec, chunk, mode="train", rng=Rng(2), p_drop=0.3)
     assert loss == again
@@ -568,7 +621,9 @@ def test_forked_child_does_not_wait_on_the_parents_helper(monkeypatch, with_help
     spec = CONFIGS["r_lstm"]
     params, chunk = _dropout_case(spec, 3)
     monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
     loss = forward_chunk(params, spec, chunk)[0]
+    assert with_helper.calls > 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
         pid = os.fork()
@@ -982,10 +1037,13 @@ def test_compact_gradients_equal_dense_at_word_rows(monkeypatch, helper_pool, na
     first = SequenceChunk(ids[:, :6], ids[:, 1:7], np.arange(6) == 0)
     second = SequenceChunk(ids[:, 6:12], ids[:, 7:13], np.zeros(6, dtype=bool))
     runs = []
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
     for helper, rows in ((None, eval_rows(spec)), (helper_pool, 3)):
         monkeypatch.setattr(rrntn.models, "_helper", helper)
         monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+        calls = helper_pool.calls
         _, _, _, state = forward_chunk(params, spec, first, mode="train", rng=Rng(2), p_drop=0.3)
+        assert (helper_pool.calls > calls) == (helper is not None)
         for compact in (False, True):
             loss, _, cache, _ = forward_chunk(params, spec, second, state, mode="train",
                                               rng=Rng(3), p_drop=0.3)

@@ -369,20 +369,22 @@ def unmade_helper(monkeypatch):
         rrntn.models._helper.shutdown(wait=True)
 
 
-@pytest.mark.parametrize("env, cpus, rows, threads", [
-    ({}, {0, 1}, 3, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 3, 0),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 3, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 40, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 3, 1),
-    ({"OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, 3, 1),
-], ids=["blas-unset", "one-cpu", "openblas-2", "one-block-windows", "openblas-1", "omp-1"])
+@pytest.mark.parametrize("env, cpus, above, threads", [
+    ({}, {0, 1}, 0, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 0, 0),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 1, 0),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 0, 1),
+    ({"OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, 0, 1),
+], ids=["blas-unset", "one-cpu", "openblas-2", "small-windows", "openblas-1", "omp-1"])
 def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, unmade_helper, env, cpus,
-                                                   rows, threads):
+                                                   above, threads):
     # the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is set must
     # read 1, the affinity mask hold two CPUs and a window (here 4 x 10
-    # rows) fill two or more output blocks of R rows; then three epochs
-    # share one helper thread, otherwise none starts
+    # rows, in output blocks of R = 3) reach HELPER_MIN_MADDS, which is set
+    # `above` its output product; then three epochs share one helper thread,
+    # otherwise none starts. The pool starts its thread on the first call
+    # submitted to it, so a thread here means the helper ran work.
     _, corpus, _ = tiny
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
@@ -391,7 +393,8 @@ def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, unmade_hel
     monkeypatch.setattr(rrntn.models.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     stream = EncodedSplit(corpus.train.ids, np.zeros(0, dtype=np.int64))
     spec = ModelSpec("lstm", v=int(stream.ids.max()) + 1, h=6, e=5, k=2)
-    monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", rows * spec.v * 8)
+    monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 4 * 10 * spec.h * spec.v + above)
     cfg = TrainConfig.gated(seed=5, t_bptt=10, batch=4, lr0=0.5,
                             init=InitScheme.uniform(-0.1, 0.1))
     params = init_params(spec, cfg.init, Rng(5))
