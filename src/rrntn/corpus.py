@@ -222,8 +222,10 @@ def chunk_stream(split: EncodedSplit, t_bptt: int, batch: int) -> Iterator[Seque
     """Cut the stream into `batch` contiguous lanes and yield aligned windows.
 
     Each step yields a (batch, t_bptt) chunk; the hidden state is carried
-    across steps, so resets is true only at step 0 of the first. The
-    trailing remainder that does not fill a whole window is dropped.
+    across steps, so resets is true only at step 0 of the first. One window
+    takes batch * t_bptt + 1 tokens (the last is only a target); a shorter
+    stream raises CorpusTooSmallError. The trailing remainder that does not
+    fill a whole window is dropped.
     """
     if t_bptt < 1:
         raise ValueError("t_bptt must be at least 1")
@@ -231,7 +233,7 @@ def chunk_stream(split: EncodedSplit, t_bptt: int, batch: int) -> Iterator[Seque
         raise ValueError("batch must be at least 1")
     ids = split.ids
     n = len(ids)
-    if n < batch * (t_bptt + 1):
+    if n < batch * t_bptt + 1:
         raise CorpusTooSmallError(
             f"stream of {n} tokens cannot fill batch={batch} windows of {t_bptt}"
         )

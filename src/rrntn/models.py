@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
+import re
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -347,44 +347,34 @@ HELPER_MIN_MADDS = 1 << 28
 
 
 # The helper thread: one worker that runs part of a chunk's input products,
-# output layer and gradients beside the caller (see _split). It is made on
-# first use, and only when _spare_core(); otherwise it is None and its share
-# runs on the caller. Tests set it to a pool or None.
-_UNSET = object()
-_helper: ThreadPoolExecutor | None | object = _UNSET
-_helper_lock = threading.Lock()
+# output layer and gradients beside the caller (see _split), or None, when its
+# share runs on the caller. Tests set it to a pool or None.
+_helper: ThreadPoolExecutor | None = None
 
 
-def _helper_pool() -> ThreadPoolExecutor | None:
-    """The helper, made on first use; None when it must not exist."""
+def _make_helper(env=os.environ) -> None:
+    """Set _helper to a one-worker pool when BLAS runs one thread and the
+    process may run on two or more CPUs, else None. The pool starts its
+    thread on the first call handed to it.
+
+    BLAS fixed its thread count when numpy loaded it, by OpenBLAS's rule:
+    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    that reads (as C's atoi) as a positive integer, else one per CPU. This
+    applies the rule to env. Beside a BLAS that already uses every core, a
+    helper would only take turns with it.
+    """
     global _helper
-    with _helper_lock:
-        if _helper is _UNSET:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="rrntn-helper") \
-                if _spare_core() else None
-        return _helper
+    counts = (re.match(r"\s*\+?([0-9]+)", env.get(var, ""))
+              for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    first = next((n for m in counts if m and (n := int(m[1])) > 0), None)
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="rrntn-helper") if first == 1 and \
+        hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else None
 
 
-def _spare_core() -> bool:
-    """Whether BLAS is pinned to one thread (the first of OPENBLAS_NUM_THREADS
-    and OMP_NUM_THREADS that is set reads 1) and the process may run on two
-    or more CPUs. Beside a BLAS that already uses every core, a helper would
-    only take turns with it."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        if var in os.environ:
-            return (os.environ[var].strip() == "1" and hasattr(os, "sched_getaffinity")
-                    and len(os.sched_getaffinity(0)) >= 2)
-    return False
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread: it makes its own on first use."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = _UNSET, threading.Lock()
-
-
+_make_helper()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    # A forked child keeps BLAS as numpy loaded it, but not the helper thread.
+    os.register_at_fork(after_in_child=partial(_make_helper, dict(os.environ)))
 
 
 def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
@@ -392,7 +382,7 @@ def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
     only where the chunk's output product reaches HELPER_MIN_MADDS: a gated
     window or evaluation run, but not a simple-regime window or evaluation
     run, which have too little work to hand over."""
-    return _helper_pool() if rows * spec.h * spec.v >= HELPER_MIN_MADDS else None
+    return _helper if rows * spec.h * spec.v >= HELPER_MIN_MADDS else None
 
 
 def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[Callable]) -> None:

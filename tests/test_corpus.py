@@ -236,6 +236,16 @@ def test_chunk_stream_too_small():
         next(chunk_stream(split, t_bptt=5, batch=2))
 
 
+def test_chunk_stream_fills_one_window_from_batch_times_t_plus_one():
+    # lanes [0..4] and [5..9], and id 10 is the last target
+    split = EncodedSplit(np.arange(11, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    (chunk,) = chunk_stream(split, t_bptt=5, batch=2)
+    np.testing.assert_array_equal(chunk.inputs, np.arange(10).reshape(2, 5))
+    np.testing.assert_array_equal(chunk.targets, np.arange(1, 11).reshape(2, 5))
+    with pytest.raises(CorpusTooSmallError):
+        next(chunk_stream(EncodedSplit(split.ids[:10], split.boundaries), t_bptt=5, batch=2))
+
+
 def test_vocab_file_roundtrip(tmp_path):
     vocab = build_vocab(["b", "b", "a", UNK_TOKEN])
     path = tmp_path / "vocab.tsv"

@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -359,13 +362,23 @@ def test_gated_regime_runs_on_stream(tiny):
     assert np.isfinite(metrics.train_ppl)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @pytest.fixture
-def unmade_helper(monkeypatch):
-    """rrntn.models makes its helper afresh on first use in this test; the
-    one it makes is shut down afterwards."""
-    monkeypatch.setattr(rrntn.models, "_helper", rrntn.models._UNSET)
-    yield
-    if rrntn.models._helper not in (None, rrntn.models._UNSET):
+def made_helper(monkeypatch, env, cpus):
+    """rrntn.models's helper as _make_helper makes it with only the BLAS
+    variables in env set and an affinity mask of cpus; the pool it makes is
+    shut down afterwards."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(rrntn.models.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(rrntn.models, "_helper", None)
+    rrntn.models._make_helper()
+    yield rrntn.models._helper
+    if rrntn.models._helper is not None:
         rrntn.models._helper.shutdown(wait=True)
 
 
@@ -376,21 +389,21 @@ def unmade_helper(monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 1, 0),
     ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 0, 1),
     ({"OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, 0, 1),
-], ids=["blas-unset", "one-cpu", "openblas-2", "small-windows", "openblas-1", "omp-1"])
-def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, unmade_helper, env, cpus,
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 0),
+    ({"GOTO_NUM_THREADS": "1"}, {0, 1}, 0, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 1),
+], ids=["blas-unset", "one-cpu", "openblas-2", "small-windows", "openblas-1", "omp-1",
+        "goto-2-omp-1", "goto-1", "openblas-0-omp-1"])
+def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, made_helper, env, cpus,
                                                    above, threads):
-    # the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that is set must
-    # read 1, the affinity mask hold two CPUs and a window (here 4 x 10
-    # rows, in output blocks of R = 3) reach HELPER_MIN_MADDS, which is set
-    # `above` its output product; then three epochs share one helper thread,
-    # otherwise none starts. The pool starts its thread on the first call
-    # submitted to it, so a thread here means the helper ran work.
+    # BLAS runs one thread when the first of its three variables that holds
+    # a positive integer reads 1; with that, an affinity mask of two CPUs
+    # and a window (here 4 x 10 rows, in output blocks of R = 3) that
+    # reaches HELPER_MIN_MADDS, which is set `above` its output product,
+    # three epochs share one helper thread; otherwise none starts. The pool
+    # starts its thread on the first call submitted to it, so a thread here
+    # means the helper ran work.
     _, corpus, _ = tiny
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(rrntn.models.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     stream = EncodedSplit(corpus.train.ids, np.zeros(0, dtype=np.int64))
     spec = ModelSpec("lstm", v=int(stream.ids.max()) + 1, h=6, e=5, k=2)
     monkeypatch.setattr(rrntn.models, "EVAL_BLOCK_BYTES", 3 * spec.v * 8)
@@ -402,6 +415,40 @@ def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, unmade_hel
     for epoch in range(3):
         train_epoch(params, spec, cfg, stream, lr=cfg.lr0, rng=Rng(6 + epoch))
     assert threading.active_count() - before == threads
+
+
+_AFTER_IMPORT = """
+import os, threading
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+import rrntn.models as models
+from rrntn.corpus import SequenceChunk
+from rrntn.linalg import Rng
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+models.HELPER_MIN_MADDS = 1
+spec = models.ModelSpec("lstm", v=12, h=6, e=5, k=2)
+params = models.init_params(spec, models.InitScheme.uniform(-0.1, 0.1), Rng(0))
+ids = np.arange(10, dtype=np.int64).reshape(2, 5)
+models.forward_chunk(params, spec, SequenceChunk(ids, ids + 1, np.arange(5) == 0))
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if models._helper is None else 1)
+print(threading.active_count(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_blas_variables_set_after_import_make_no_helper():
+    # BLAS read its variables when numpy loaded it, with none of them set:
+    # it runs one thread per CPU. Setting OPENBLAS_NUM_THREADS=1 afterwards
+    # changes neither BLAS nor the helper, here or in a forked child, so no
+    # helper thread starts beside it.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = os.path.dirname(os.path.dirname(rrntn.models.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _AFTER_IMPORT], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["1", "0"]
 
 
 def test_window_memory_does_not_carry_over():
