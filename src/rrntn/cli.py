@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import models
 from .corpus import (
     EncodedCorpus,
     EncodedSplit,
@@ -287,15 +288,24 @@ def save_checkpoint(path, params, spec: ModelSpec, config_text: str,
     meta = {key: getattr(spec, key) for key in _SPEC_META}
     meta.update(epoch=epoch, vocab_sha256=vocab_sha, dtype=dtype)
     meta_text = "".join(f"{key} = {meta[key]}\n" for key in _META_KEYS)
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", _CKPT_VERSION))
-        for block in (config_text, meta_text):
-            data = block.encode("utf-8")
-            f.write(struct.pack("<I", len(data)))
-            f.write(data)
-        for name in param_shapes(spec):
-            params[name].astype(_CKPT_DTYPES[dtype], copy=False).tofile(f)
+    # written beside path and moved onto it whole: a save that fails leaves
+    # an earlier checkpoint there as it was
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<I", _CKPT_VERSION))
+            for block in (config_text, meta_text):
+                data = block.encode("utf-8")
+                f.write(struct.pack("<I", len(data)))
+                f.write(data)
+            for name in param_shapes(spec):
+                params[name].astype(_CKPT_DTYPES[dtype], copy=False).tofile(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -369,18 +379,26 @@ def _conventions(vocab: Vocabulary) -> str:
             f"gaussian init parameter read as stddev")
 
 
+def _threads() -> str:
+    blas = models._blas_threads()
+    return (f"threads: BLAS {'unknown' if blas is None else blas}, "
+            f"helper thread {'off' if models._helper is None else 'on'}")
+
+
 def _load_run(config_path):
-    """The run's config, vocabulary, corpus and spec, once the training split
-    fills the first training window. Callers make out_dir after their checks."""
+    """The run's config, vocabulary, corpus, spec and vocab.tsv hash, once the
+    training split fills the first training window. Callers make out_dir
+    after their checks."""
     cfg = RunConfig.load(config_path)
+    vocab_sha = vocab_sha256(cfg.corpus_dir)  # the vocabulary the run reads, not a later one
     vocab, corpus = load_corpus(cfg.corpus_dir)
     spec = cfg.model_spec(vocab.size)
     next(train_chunks(corpus.train, cfg.train), None)  # a split too small raises here
-    return cfg, vocab, corpus, spec
+    return cfg, vocab, corpus, spec, vocab_sha
 
 
 def cmd_train(args) -> int:
-    cfg, vocab, corpus, spec = _load_run(args.config)
+    cfg, vocab, corpus, spec, vocab_sha = _load_run(args.config)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -393,9 +411,10 @@ def cmd_train(args) -> int:
     (out_dir / "metrics.csv").write_text(
         _metrics_csv(result.history, cfg.timing), encoding="utf-8")
     save_checkpoint(out_dir / "checkpoint.bin", result.params, spec, cfg.text,
-                    vocab_sha256(cfg.corpus_dir), result.best_epoch, dtype=cfg.checkpoint_dtype)
+                    vocab_sha, result.best_epoch, dtype=cfg.checkpoint_dtype)
     test_ppl = perplexity(result.params, spec, corpus.test, t_bptt=cfg.train.t_bptt)
     print(_conventions(vocab))
+    print(_threads())
     print(f"test PPL = {test_ppl:.6f}")
     return 0
 
@@ -411,6 +430,7 @@ def cmd_eval(args) -> int:
     split = getattr(corpus, args.split)
     ppl = perplexity(ckpt.params, ckpt.spec, split, t_bptt=cfg.train.t_bptt)
     print(_conventions(vocab))
+    print(_threads())
     print(f"{args.split} PPL = {ppl:.6f}")
     return 0
 
@@ -435,7 +455,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, _, corpus, spec = _load_run(args.config)
+    cfg, _, corpus, spec, _ = _load_run(args.config)
     k_values, policies = args.k.split(","), tuple(args.policies.split(","))
     sweep_specs(spec, k_values, policies)  # a bad K list or policy raises before out_dir is made
     out_dir = Path(cfg.out_dir)

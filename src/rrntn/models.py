@@ -37,8 +37,8 @@ gradient_stage and word_rows.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -352,29 +352,33 @@ HELPER_MIN_MADDS = 1 << 28
 _helper: ThreadPoolExecutor | None = None
 
 
-def _make_helper(env=os.environ) -> None:
-    """Set _helper to a one-worker pool when BLAS runs one thread and the
-    process may run on two or more CPUs, else None. The pool starts its
-    thread on the first call handed to it.
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy's linear algebra links, as
+    it reports it, or None for any other BLAS. The getter is looked up under
+    the names threadpoolctl tries, through the handle of numpy's
+    _umath_linalg module, which reaches the libraries that module links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", "", "_64"):
+            if getter := getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None):
+                return getter()  # an int, ctypes' default return type
+    return None
 
-    BLAS fixed its thread count when numpy loaded it, by OpenBLAS's rule:
-    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
-    that reads (as C's atoi) as a positive integer, else one per CPU. This
-    applies the rule to env. Beside a BLAS that already uses every core, a
-    helper would only take turns with it.
-    """
+
+def _make_helper() -> None:
+    """Set _helper to a one-worker pool when BLAS reports one thread and the
+    process may run on two or more CPUs, else None: beside a BLAS that uses
+    every core, or one that cannot be asked, a helper would only take turns
+    with it. The pool starts its thread on the first call handed to it."""
     global _helper
-    counts = (re.match(r"\s*\+?([0-9]+)", env.get(var, ""))
-              for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    first = next((n for m in counts if m and (n := int(m[1])) > 0), None)
-    _helper = ThreadPoolExecutor(1, thread_name_prefix="rrntn-helper") if first == 1 and \
-        hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else None
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="rrntn-helper") if _blas_threads() == 1 \
+        and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else None
 
 
 _make_helper()
 if hasattr(os, "register_at_fork"):
-    # A forked child keeps BLAS as numpy loaded it, but not the helper thread.
-    os.register_at_fork(after_in_child=partial(_make_helper, dict(os.environ)))
+    # A forked child keeps BLAS as it was, but not the helper thread.
+    os.register_at_fork(after_in_child=_make_helper)
 
 
 def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
@@ -389,25 +393,22 @@ def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[C
     """Run the zero-argument calls `theirs` on pool and `mine` here, then join.
 
     Each of theirs is submitted, in a copy of the caller's context (numpy's
-    error state included), before the first of mine starts; without a pool,
-    theirs run here first. Every call runs except those of mine after one
-    that raises. All of theirs are joined before an error leaves: one of
-    mine first, else the first of theirs. The caller allocates every output
-    a call writes and no call writes a parameter, so each is the same NumPy
-    call on the same rows on either thread, and the helper moves no bit.
+    error state included), before the first of mine starts. Every call runs
+    except those of mine after one that raises. All of theirs are joined
+    before an error leaves: one of mine first, else the first of theirs.
+    Without a pool, mine then theirs run here until one raises, which is the
+    same error. The caller allocates every output a call writes and no call
+    writes a parameter, so each is the same NumPy call on the same rows on
+    either thread, and the helper moves no bit.
 
     No call in theirs may itself call _split: the pool's one worker would
     then wait on its own queue, and the caller on that worker, for ever.
     """
-    futures, errors = [], []
-    for fn in theirs:
-        if pool is not None:
-            futures.append(pool.submit(contextvars.copy_context().run, fn))
-            continue
-        try:
+    if pool is None:
+        for fn in (*mine, *theirs):
             fn()
-        except Exception as exc:  # held back as the helper's would be
-            errors.append(exc)
+        return
+    futures = [pool.submit(contextvars.copy_context().run, fn) for fn in theirs]
     try:
         for fn in mine:
             fn()
@@ -415,8 +416,6 @@ def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[C
         wait(futures)
     for future in futures:
         future.result()
-    if errors:
-        raise errors[0]
 
 
 def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,

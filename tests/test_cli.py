@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from synth import order2_sentences
+import rrntn.models
 from rrntn import cli
 from rrntn.corpus import UNK_TOKEN
 from rrntn.linalg import Rng
@@ -243,6 +244,44 @@ def test_eval_rejects_vocab_hash_mismatch(prepped, tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", ["removed", "rewritten"])
+def test_checkpoint_names_the_vocabulary_the_run_read(prepped, tmp_path, monkeypatch, capsys,
+                                                      change):
+    # vocab.tsv is removed or re-prepped while the run trains: the run still
+    # saves its checkpoint, under the hash of the file it read at the start
+    corpus = _copy_corpus(prepped, tmp_path / "corpus")
+    read = cli.vocab_sha256(corpus)
+
+    def fit_then_change(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        if change == "removed":
+            (corpus / "vocab.tsv").unlink()
+        else:
+            (corpus / "vocab.tsv").write_text("other\t1\n")
+        return result
+
+    monkeypatch.setattr(cli, "fit", fit_then_change)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(corpus, tmp_path / "out", max_epochs="1"))
+    assert cli.main(["train", str(cfgfile)]) == 0
+    capsys.readouterr()
+    assert cli.load_checkpoint(tmp_path / "out" / "checkpoint.bin").meta["vocab_sha256"] == read
+
+
+@pytest.mark.parametrize("helper", ["without_helper", "with_helper"])
+def test_train_and_eval_print_the_thread_decision(prepped, tmp_path, request, capsys, helper):
+    request.getfixturevalue(helper)
+    blas = rrntn.models._blas_threads()
+    line = (f"threads: BLAS {'unknown' if blas is None else blas}, "
+            f"helper thread {'on' if helper == 'with_helper' else 'off'}")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(_train_config(prepped, tmp_path / "out", max_epochs="1"))
+    assert cli.main(["train", str(cfgfile)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert cli.main(["eval", str(tmp_path / "out" / "checkpoint.bin")]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_overfit_toy_train_ppl_below_test(prepped, tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfgfile = tmp_path / "run.cfg"
@@ -308,6 +347,25 @@ def test_checkpoint_file_layout(tmp_path, dtype, code):
         values = params[name].ravel()
         expect += struct.pack(f"<{values.size}{code}", *values)
     assert path.read_bytes() == expect
+
+
+def test_failed_save_leaves_the_earlier_checkpoint(tmp_path):
+    # the second block raises while the file is written: the checkpoint
+    # already at the path is left byte for byte, and no partial file stays
+    class Unwritable:
+        def astype(self, *args, **kwargs):
+            raise OSError("no space left on device")
+
+    spec = ModelSpec("rrntn", v=5, h=2, k=2)
+    params = init_params(spec, InitScheme.uniform(-0.5, 0.5), Rng(6))
+    path = tmp_path / "ck.bin"
+    cli.save_checkpoint(path, params, spec, "seed = 1\n", "ab" * 32, epoch=1)
+    before = path.read_bytes()
+    second = list(param_shapes(spec))[1]
+    with pytest.raises(OSError, match="no space"):
+        cli.save_checkpoint(path, {**params, second: Unwritable()}, spec, "", "ab" * 32, epoch=2)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_save_and_load_copy_no_block(tmp_path):

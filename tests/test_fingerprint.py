@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import fingerprint
+import rrntn.models
 
 PINS = Path(__file__).with_name("fingerprint_pins.json")
 
@@ -66,6 +67,19 @@ def one_blas_thread():
     finally:
         if lib:
             lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_blas_threads_is_what_numpys_openblas_reports():
+    # rrntn.models asks the BLAS that numpy's linear algebra links, found
+    # through _umath_linalg, and _openblas finds the library by file name:
+    # both read 1 inside one_blas_thread and the restored count after it
+    lib = _openblas()
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    before = lib.scipy_openblas_get_num_threads64_()
+    with one_blas_thread():
+        assert rrntn.models._blas_threads() == 1
+    assert rrntn.models._blas_threads() == before
 
 
 @pytest.mark.parametrize("helper", ["without_helper", "with_helper"])

@@ -533,7 +533,7 @@ class InjectedError(RuntimeError):
 @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
 def test_split_runs_theirs_on_the_helper_in_the_callers_errstate(helper_pool, pooled):
     # with a pool, theirs run on its thread and mine on the caller; without
-    # one, every call runs on the caller, theirs first. Every call runs
+    # one, every call runs on the caller, mine first. Every call runs
     # under the caller's np.errstate: the suite turns warnings into errors,
     # so a log(0) would raise without it
     calls = []
@@ -551,14 +551,16 @@ def test_split_runs_theirs_on_the_helper_in_the_callers_errstate(helper_pool, po
     order = [name for name, _ in calls]
     assert [name for name in order if name[0] == "m"] == ["m0", "m1"]
     assert [name for name in order if name[0] == "t"] == ["t0", "t1"]
-    assert pooled or order == ["t0", "t1", "m0", "m1"]
+    assert pooled or order == ["m0", "m1", "t0", "t1"]
 
 
 @pytest.mark.parametrize("raising", ["mine", "theirs"])
 @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no_pool"])
 def test_split_raises_only_after_both_sides_ran(helper_pool, pooled, raising):
-    # an error in mine leaves only once theirs are done, and one in theirs
-    # only once mine have run; the calls on the other side all run
+    # with a pool, an error in mine leaves only once theirs are done, and one
+    # in theirs only once mine have run; the calls on the other side all
+    # run. Without one, mine then theirs run and the first error leaves at
+    # once. Either way the error is the first of mine, else of theirs
     done = []
 
     def finish(name):
@@ -574,7 +576,10 @@ def test_split_raises_only_after_both_sides_ran(helper_pool, pooled, raising):
     theirs = [fail, finish("t1")] if raising == "theirs" else [finish("t0"), finish("t1")]
     with pytest.raises(InjectedError, match=raising):
         rrntn.models._split(helper_pool if pooled else None, mine, theirs)
-    assert sorted(done) == (["t0", "t1"] if raising == "mine" else ["m0", "m1", "t1"])
+    if pooled:
+        assert sorted(done) == (["t0", "t1"] if raising == "mine" else ["m0", "m1", "t1"])
+    else:
+        assert done == ([] if raising == "mine" else ["m0", "m1"])
 
 
 @pytest.mark.parametrize("raising", ["helper", "caller"])

@@ -362,18 +362,12 @@ def test_gated_regime_runs_on_stream(tiny):
     assert np.isfinite(metrics.train_ppl)
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 @pytest.fixture
-def made_helper(monkeypatch, env, cpus):
-    """rrntn.models's helper as _make_helper makes it with only the BLAS
-    variables in env set and an affinity mask of cpus; the pool it makes is
-    shut down afterwards."""
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+def made_helper(monkeypatch, blas, cpus):
+    """rrntn.models's helper as _make_helper makes it where BLAS reports
+    blas threads (None: a BLAS that cannot be asked) and the affinity mask
+    holds cpus; the pool it makes is shut down afterwards."""
+    monkeypatch.setattr(rrntn.models, "_blas_threads", lambda: blas)
     monkeypatch.setattr(rrntn.models.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(rrntn.models, "_helper", None)
     rrntn.models._make_helper()
@@ -382,23 +376,18 @@ def made_helper(monkeypatch, env, cpus):
         rrntn.models._helper.shutdown(wait=True)
 
 
-@pytest.mark.parametrize("env, cpus, above, threads", [
-    ({}, {0, 1}, 0, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 0, 0),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 1, 0),
-    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 0, 1),
-    ({"OMP_NUM_THREADS": "1"}, {0, 1, 2, 3}, 0, 1),
-    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 0),
-    ({"GOTO_NUM_THREADS": "1"}, {0, 1}, 0, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, {0, 1}, 0, 1),
-], ids=["blas-unset", "one-cpu", "openblas-2", "small-windows", "openblas-1", "omp-1",
-        "goto-2-omp-1", "goto-1", "openblas-0-omp-1"])
-def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, made_helper, env, cpus,
+@pytest.mark.parametrize("blas, cpus, above, threads", [
+    (2, {0, 1}, 0, 0),
+    (None, {0, 1}, 0, 0),
+    (1, {0}, 0, 0),
+    (1, {0, 1}, 1, 0),
+    (1, {0, 1}, 0, 1),
+    (1, {0, 1, 2, 3}, 0, 1),
+], ids=["blas-2", "blas-unknown", "one-cpu", "small-windows", "blas-1", "blas-1-four-cpus"])
+def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, made_helper, blas, cpus,
                                                    above, threads):
-    # BLAS runs one thread when the first of its three variables that holds
-    # a positive integer reads 1; with that, an affinity mask of two CPUs
-    # and a window (here 4 x 10 rows, in output blocks of R = 3) that
+    # With BLAS reporting one thread, an affinity mask of two CPUs and a
+    # window (here 4 x 10 rows, in output blocks of R = 3) that
     # reaches HELPER_MIN_MADDS, which is set `above` its output product,
     # three epochs share one helper thread; otherwise none starts. The pool
     # starts its thread on the first call submitted to it, so a thread here
@@ -419,12 +408,13 @@ def test_helper_thread_only_beside_one_blas_thread(tiny, monkeypatch, made_helpe
 
 _AFTER_IMPORT = """
 import os, threading
-os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import {imported}
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np
 import rrntn.models as models
 from rrntn.corpus import SequenceChunk
 from rrntn.linalg import Rng
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 models.HELPER_MIN_MADDS = 1
 spec = models.ModelSpec("lstm", v=12, h=6, e=5, k=2)
 params = models.init_params(spec, models.InitScheme.uniform(-0.1, 0.1), Rng(0))
@@ -438,16 +428,21 @@ print(threading.active_count(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_blas_variables_set_after_import_make_no_helper():
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="BLAS runs one thread per CPU: needs two CPUs")
+@pytest.mark.parametrize("imported", ["rrntn", "numpy"])
+def test_blas_variables_set_after_import_make_no_helper(imported):
     # BLAS read its variables when numpy loaded it, with none of them set:
-    # it runs one thread per CPU. Setting OPENBLAS_NUM_THREADS=1 afterwards
-    # changes neither BLAS nor the helper, here or in a forked child, so no
-    # helper thread starts beside it.
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    # it runs one thread per CPU. Setting OPENBLAS_NUM_THREADS=1 afterwards,
+    # whether rrntn or only numpy was imported first, changes neither BLAS
+    # nor the helper, here or in a forked child, so no helper thread starts
+    # beside it.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(rrntn.models.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _AFTER_IMPORT], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", _AFTER_IMPORT.format(imported=imported)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split() == ["1", "0"]
 
 
