@@ -197,22 +197,70 @@ def dropout_mask(rng: Rng, n: int, p_drop: float) -> np.ndarray:
     return np.where(rng.uniform01(n) < p_drop, 0.0, keep)
 
 
+def block_sum(a: np.ndarray, square: bool = False, divisor: float | None = None,
+              leaf: int = PIECE) -> float:
+    """float(np.sum(a * a)) when square, else float(np.sum(a)), bit for bit,
+    after a /= divisor in place when a divisor is given.
+
+    numpy sums a C- or F-contiguous block in memory order along one pairwise
+    tree, adding the total to 0.0: a node of n > 128 elements is the sum of
+    its first n2 = n // 2 - (n // 2) % 8 elements and the rest. This follows
+    the same splits down to nodes of at most max(leaf, 128) elements and hands
+    each to np.sum, squared into one reused scratch when square, so the block
+    is read once, a leaf at a time, and no temporary its size is made. Any
+    other block is divided whole and summed by np.sum itself.
+    """
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        if divisor is not None:
+            a /= divisor
+        return float(np.sum(a * a) if square else np.sum(a))
+    flat = a.reshape(-1, order="A")  # a view in memory order
+    leaf = max(leaf, 128)
+    scratch = np.empty(min(flat.size, leaf)) if square else None
+    return 0.0 + _pairwise(flat, leaf, scratch, divisor)
+
+
+def _pairwise(x: np.ndarray, leaf: int, scratch: np.ndarray | None,
+              divisor: float | None) -> float:
+    """block_sum's tree node x: split as numpy splits it, down to leaves."""
+    if x.size > leaf:
+        half = x.size // 2
+        half -= half % 8
+        return (_pairwise(x[:half], leaf, scratch, divisor)
+                + _pairwise(x[half:], leaf, scratch, divisor))
+    if divisor is not None:
+        x /= divisor
+    if scratch is not None:
+        x = np.multiply(x, x, out=scratch[:x.size])
+    return float(np.sum(x))
+
+
 def global_norm(arrays) -> float:
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
+    """The joint L2 norm, sqrt of the arrays' float(np.sum(a * a)) added in order."""
+    return float(np.sqrt(sum(block_sum(a, square=True) for a in arrays)))
+
+
+class Squares(list):
+    """Each block's float(np.sum(a * a)), in block order, from a pass that has
+    already read the blocks (see block_sum)."""
 
 
 def clip_by_global_norm(arrays, max_norm: float):
     """Scale all arrays in place so their joint L2 norm is at most max_norm.
 
-    Returns (arrays, factor); factor is 1.0 when no scaling was applied.
+    Returns (arrays, factor); factor is 1.0 when no scaling was applied and
+    max_norm / norm otherwise. Given Squares in place of the arrays, the norm
+    is read from them and nothing is scaled: whoever holds the blocks applies
+    the factor (training.sgd_apply does, panel by panel).
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    arrays = list(arrays)
-    g = global_norm(arrays)
+    given = isinstance(arrays, Squares)
+    arrays = arrays if given else list(arrays)
+    g = float(np.sqrt(sum(arrays))) if given else global_norm(arrays)
     factor = 1.0
     if g > max_norm:
         factor = max_norm / g
-        for a in arrays:
+        for a in () if given else arrays:
             a *= factor
     return arrays, factor

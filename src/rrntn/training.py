@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -29,11 +30,13 @@ from .corpus import (
     chunk_sentences,
     chunk_stream,
 )
-from .linalg import Rng, clip_by_global_norm
+from .linalg import Rng, Squares, block_sum, clip_by_global_norm
 from .models import (
     DivergenceError,
     InitScheme,
     ModelSpec,
+    _helper_for,
+    _split,
     backward_chunk,
     forward_chunk,
     init_params,
@@ -115,33 +118,72 @@ class EpochMetrics:
 # stay in L2 instead of streaming a whole-block temporary through memory.
 PANEL_BYTES = 256 << 10
 
+# The block whose passes the helper thread takes in a gated window: the one
+# backward_chunk's helper forms, about a third of the gradient bytes at V = 10k.
+_HELPER_BLOCK = "w_out"
 
-def sgd_apply(params, grads, lr: float, rows=None) -> None:
-    """In-place step p[idx] <- p[idx] - lr * g for every array.
+
+def _by_thread(pool, grads, fn) -> None:
+    """fn(names) over the blocks of grads: _HELPER_BLOCK's on pool, the rest
+    here, in one _split."""
+    mine = [name for name in grads if name != _HELPER_BLOCK]
+    theirs = [name for name in grads if name == _HELPER_BLOCK]
+    _split(pool, [partial(fn, mine)], [partial(fn, theirs)] if theirs else [])
+
+
+def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=None,
+              pool=None) -> None:
+    """In-place step p[idx] <- p[idx] - lr * (factor * g) for every array.
 
     rows maps a block to the index its gradient is at (see models.word_rows):
     an int array of leading-axis rows or (slice(None), columns); a block
     without one is updated whole. Every gradient is checked before any
     parameter is written, so a non-finite block leaves all parameters
-    unchanged and is named in the error. Each block is then scaled by lr in
-    place and subtracted in panels of about PANEL_BYTES along its leading
-    axis, p[idx[a:b]] -= g[a:b]; every element gets the bits of the whole
-    block's step. The step consumes grads.
+    unchanged and is named in the error: the check is np.isfinite(np.sum(g)),
+    or np.isfinite(sums[name]) where sums holds each block's sum from an
+    earlier pass (train_epoch's pass 1: its entries, or its squares, whose
+    finite total proves every entry finite). Each block is then scaled in
+    place by factor (unless it is 1) and by lr, and subtracted, in panels of
+    about PANEL_BYTES along its leading axis, p[idx[a:b]] -= g[a:b]; every
+    element gets the bits of the whole block's step. With a pool the w_out
+    block's panels run on it (models._split), after every block is checked
+    and before this returns. The step consumes grads.
     """
     rows = rows or {}
     for name, g in grads.items():
-        if not np.isfinite(np.sum(g)):
+        if not np.isfinite(np.sum(g) if sums is None else sums[name]):
             raise DivergenceError(f"non-finite gradient in {name}", block=name)
-    for name, g in grads.items():
-        index = rows.get(name, slice(None))
-        lead, *rest = index if isinstance(index, tuple) else (index,)
-        step = max(1, PANEL_BYTES // g[:1].nbytes)
-        for a in range(0, len(g), step):
-            panel = g[a:a + step]
-            np.multiply(panel, lr, out=panel)
-            # a slice lead is the whole axis, so panel a is rows a:a+step
-            at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
-            params[name][(at, *rest)] -= panel
+
+    def update(names):
+        for name in names:
+            g = grads[name]
+            index = rows.get(name, slice(None))
+            lead, *rest = index if isinstance(index, tuple) else (index,)
+            step = max(1, PANEL_BYTES // g[:1].nbytes)
+            for a in range(0, len(g), step):
+                panel = g[a:a + step]
+                if factor != 1.0:
+                    np.multiply(panel, factor, out=panel)
+                np.multiply(panel, lr, out=panel)
+                # a slice lead is the whole axis, so panel a is rows a:a+step
+                at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
+                params[name][(at, *rest)] -= panel
+
+    _by_thread(pool, grads, update)
+
+
+def _first_pass(grads, divisor, square: bool, pool) -> dict[str, float]:
+    """Pass 1 of a window's update: each block divided in place by divisor
+    (None: left as it is) and reduced to block_sum(g, square), in leaves of
+    PANEL_BYTES, the w_out block on pool. Returns the sums in block order."""
+    sums = {}
+
+    def reduce(names):
+        for name in names:
+            sums[name] = block_sum(grads[name], square, divisor, PANEL_BYTES // 8)
+
+    _by_thread(pool, grads, reduce)
+    return {name: sums[name] for name in grads}
 
 
 def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainConfig):
@@ -184,11 +226,24 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     averaging, clipping and the update skip the rows that are exactly zero.
     One window is held at a time: its cache goes once backward_chunk has
     read it and its gradients once the update has used them.
+
+    The update reads each block in two passes. Pass 1, in a window that
+    averages or clips, divides each block by the batch in place and reduces
+    it, a leaf at a time, to the sum of its squares when clipping, else of
+    its entries (_first_pass, with np.sum's bits); clip_by_global_norm takes
+    the squares, and their finite total proves every entry finite. Pass 2,
+    sgd_apply, scales each panel by the clip factor and lr and subtracts it.
+    A non-finite norm keeps the order of a single-pass update: every block
+    is scaled in place, then checked, and the first non-finite one is named.
+    Where the window takes the helper thread (models._helper_for), it runs
+    both passes of w_out beside the caller's blocks. An unclipped window of
+    one lane has nothing to divide and keeps sgd_apply's own np.sum check.
     """
     t0 = time.perf_counter()
     total_loss = 0.0
     total_tokens = 0
     state = None
+    clipping = cfg.clip_norm is not None
     try:
         for window, chunk in enumerate(train_chunks(split, cfg)):
             loss, count, cache, state = forward_chunk(
@@ -196,12 +251,16 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             rows = word_rows(spec, cache)
             grads, _ = backward_chunk(params, spec, cache, compact=True)
             del cache
-            if cfg.batch > 1:
-                for name in grads:  # by key, so no loop variable outlives the window
-                    grads[name] /= cfg.batch
-            if cfg.clip_norm is not None:
+            pool = _helper_for(spec, chunk.inputs.size)
+            sums, factor = None, 1.0
+            if cfg.batch > 1 or clipping:
+                sums = _first_pass(grads, cfg.batch if cfg.batch > 1 else None, clipping, pool)
+            if clipping and isfinite(sum(sums.values())):
+                _, factor = clip_by_global_norm(Squares(sums.values()), cfg.clip_norm)
+            elif clipping:  # as before the two passes: scale, then check and name a block
                 clip_by_global_norm(grads.values(), cfg.clip_norm)
-            sgd_apply(params, grads, lr, rows)
+                sums = None
+            sgd_apply(params, grads, lr, rows, factor, sums, pool)
             del grads  # nothing of this window is held into the next one
             total_loss += loss
             total_tokens += count

@@ -38,6 +38,11 @@ with a single-token window and on a stream split, each scored at the
 default eval block and again at three rows (R = 3), whose runs cut
 sentences and windows partway through, so that a change to evaluation
 shows apart from the training digests.
+
+A fourth digest per config covers the gated epoch above again with the
+helper thread, where there is one, taking part in every window
+(HELPER_MIN_MADDS = 1), so that its share of the backward pass and of the
+update shows apart from the other digests.
 """
 
 import hashlib
@@ -118,21 +123,31 @@ def train_passes(h, params, spec):
 
 
 @contextmanager
-def three_row_blocks(spec):
-    """Inside the block, the output layer forms at most three rows at once,
-    and a helper thread, where there is one, takes part in every chunk."""
-    block = rrntn.models.EVAL_BLOCK_BYTES
+def helper_in_every_chunk():
+    """Inside the block a helper thread, where there is one, takes part in
+    every chunk."""
     madds = getattr(rrntn.models, "HELPER_MIN_MADDS", None)  # older trees lack it
-    rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
     rrntn.models.HELPER_MIN_MADDS = 1
     try:
         yield
     finally:
-        rrntn.models.EVAL_BLOCK_BYTES = block
         if madds is None:
             del rrntn.models.HELPER_MIN_MADDS
         else:
             rrntn.models.HELPER_MIN_MADDS = madds
+
+
+@contextmanager
+def three_row_blocks(spec):
+    """Inside the block, the output layer forms at most three rows at once,
+    and a helper thread, where there is one, takes part in every chunk."""
+    block = rrntn.models.EVAL_BLOCK_BYTES
+    rrntn.models.EVAL_BLOCK_BYTES = 3 * 8 * spec.v
+    try:
+        with helper_in_every_chunk():
+            yield
+    finally:
+        rrntn.models.EVAL_BLOCK_BYTES = block
 
 
 def epoch(h, spec, cfg, split, windows):
@@ -154,7 +169,12 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
     sentences = EncodedSplit(ids(Rng(7), 30, spec.v), np.array([0, 7, 15, 22], dtype=np.int64))
     simple = TrainConfig.simple(seed=0, t_bptt=5, lr0=0.5, p_drop=0.3, init=INIT)
     epoch(h, spec, simple, sentences, chunk_sentences(sentences, simple.t_bptt))
+    clipped = gated_epoch(h, spec)
+    return h.hexdigest(), clipped
 
+
+def gated_epoch(h, spec: ModelSpec) -> int:
+    """The gated epoch of fingerprint; returns the number of windows that clipped."""
     stream = EncodedSplit(ids(Rng(8), 51, spec.v), np.zeros(0, dtype=np.int64))
     gated = TrainConfig.gated(seed=0, t_bptt=4, batch=3, lr0=0.5, p_drop=0.3, clip_norm=1.2,
                               init=INIT)
@@ -171,7 +191,7 @@ def fingerprint(spec: ModelSpec) -> tuple[str, int]:
         epoch(h, spec, gated, stream, chunk_stream(stream, gated.t_bptt, gated.batch))
     finally:
         rrntn.training.clip_by_global_norm = clip
-    return h.hexdigest(), sum(f < 1.0 for f in factors)
+    return sum(f < 1.0 for f in factors)
 
 
 def blocked_train_fingerprint(spec: ModelSpec) -> str:
@@ -179,6 +199,14 @@ def blocked_train_fingerprint(spec: ModelSpec) -> str:
     h = hashlib.sha256()
     with three_row_blocks(spec):
         train_passes(h, init_params(spec, INIT, Rng(1)), spec)
+    return h.hexdigest()
+
+
+def helped_tail_fingerprint(spec: ModelSpec) -> str:
+    """The config's gated epoch with the helper, where there is one, in every window."""
+    h = hashlib.sha256()
+    with helper_in_every_chunk():
+        assert gated_epoch(h, spec) > 0
     return h.hexdigest()
 
 
@@ -207,7 +235,8 @@ def main() -> None:
         print(f"{name:16s} {digest}  (gated windows clipped: {clipped})")
     print(f"{'overall':16s} {overall.hexdigest()}")
     for label, digests in (("blocked train", blocked_train_fingerprint),
-                           ("perplexity", perplexity_fingerprint)):
+                           ("perplexity", perplexity_fingerprint),
+                           ("gated tail with helper", helped_tail_fingerprint)):
         overall = hashlib.sha256()
         for name, spec in SPECS.items():
             digest = digests(spec)

@@ -20,14 +20,19 @@ reference: the SplitMix64 stream and its samplers written as whole-array
 passes, one block-sized array per step. They share no code with
 rrntn.linalg, which forms the same draws piece by piece into its output.
 vocab_ranking is build_vocab's ranking written as two full sorts.
+
+one_pass_update is the training update as a sequence of whole-block passes:
+the batch mean, the clip (its norm from np.sum(a * a), then an in-place
+scale), the np.sum finiteness check and the panelled step; gated_epoch runs
+train_epoch's windows with it.
 """
 
 from collections import Counter
 
 import numpy as np
 
-from rrntn.corpus import EncodedSplit, chunk_sentences
-from rrntn.models import forward_chunk
+from rrntn.corpus import EncodedSplit, chunk_sentences, chunk_stream
+from rrntn.models import DivergenceError, backward_chunk, forward_chunk, word_rows
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -370,3 +375,47 @@ def perplexity_per_window(params, spec, split, t_bptt):
         count += n
         single = single or n == 1
     return float(np.exp(total / count)), single
+
+
+def one_pass_update(params, grads, lr, rows, batch, clip_norm):
+    """Each step over every block before the next: grads /= batch, the clip,
+    np.isfinite(np.sum(g)) for every block, then p[idx] -= lr * g in
+    panels of 256 KiB of g along its leading axis. Returns the clip factor."""
+    if batch > 1:
+        for name in grads:
+            grads[name] /= batch
+    factor = 1.0
+    if clip_norm is not None:
+        norm = float(np.sqrt(sum(float(np.sum(a * a)) for a in grads.values())))
+        if norm > clip_norm:
+            factor = clip_norm / norm
+            for a in grads.values():
+                a *= factor
+    for name, g in grads.items():
+        if not np.isfinite(np.sum(g)):
+            raise DivergenceError(f"non-finite gradient in {name}", block=name)
+    for name, g in grads.items():
+        index = rows.get(name, slice(None))
+        lead, *rest = index if isinstance(index, tuple) else (index,)
+        step = max(1, (256 << 10) // g[:1].nbytes)
+        for a in range(0, len(g), step):
+            panel = g[a:a + step]
+            np.multiply(panel, lr, out=panel)
+            at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
+            params[name][(at, *rest)] -= panel
+    return factor
+
+
+def gated_epoch(params, spec, cfg, split, lr, rng):
+    """train_epoch over a stream split with one_pass_update; returns
+    (train_ppl, the clip factor of each window)."""
+    total, count, state, factors = 0.0, 0, None, []
+    for chunk in chunk_stream(split, cfg.t_bptt, cfg.batch):
+        loss, n, cache, state = forward_chunk(params, spec, chunk, state, mode="train", rng=rng,
+                                              p_drop=cfg.p_drop)
+        rows = word_rows(spec, cache)
+        grads, _ = backward_chunk(params, spec, cache, compact=True)
+        factors.append(one_pass_update(params, grads, lr, rows, cfg.batch, cfg.clip_norm))
+        total += loss
+        count += n
+    return float(np.exp(total / count)), factors

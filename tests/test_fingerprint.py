@@ -28,9 +28,9 @@ def test_fingerprint_prints_every_digest(capsys):
     # The bit gate's script runs here as documented, on any platform.
     fingerprint.main()
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * (len(fingerprint.SPECS) + 1) == 30
+    assert len(lines) == 4 * (len(fingerprint.SPECS) + 1) == 40
     assert all(re.fullmatch(r"\S+ +[0-9a-f]{64}(  \(.+\))?", line) for line in lines)
-    assert [line.split()[0] for line in lines].count("overall") == 3
+    assert [line.split()[0] for line in lines].count("overall") == 4
     clipped = [int(n) for n in re.findall(r"\(gated windows clipped: (\d+)\)", "\n".join(lines))]
     assert len(clipped) == len(fingerprint.SPECS) and min(clipped) > 0
 

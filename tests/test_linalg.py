@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from rrntn.models import _scatter_columns
 from rrntn.linalg import (
     PIECE,
     Rng,
+    Squares,
+    block_sum,
     clip_by_global_norm,
     dropout_mask,
     global_norm,
@@ -143,6 +146,69 @@ def test_clip_never_exceeds_max_norm(values, max_norm):
     grads = [np.array(values)]
     clip_by_global_norm(grads, max_norm)
     assert global_norm(grads) <= max_norm * (1 + 1e-12)
+
+
+def test_clip_given_squares_scales_nothing():
+    # the norm comes from each block's sum of squares, with global_norm's bits
+    grads = [np.full(4, 3.0), np.full(4, 4.0)]
+    squares = Squares(float(np.sum(a * a)) for a in grads)
+    assert clip_by_global_norm(squares, 5.0) == (squares, 0.5)
+    assert clip_by_global_norm(squares, 50.0)[1] == 1.0
+    assert all(np.array_equal(a, np.full(4, v)) for a, v in zip(grads, (3.0, 4.0)))
+
+
+def _spread(rng, shape):
+    """Values over many binades, so that a different summation order moves bits."""
+    return rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+
+
+def _blocks(rng, leaf):
+    """Every block layout the update reads, at sizes on both sides of numpy's
+    128-element base and of the leaf."""
+    sizes = sorted({1, 7, 8, 9, 127, 128, 129, leaf - 1, leaf, leaf + 1, 2 * leaf + 9, 4099})
+    col_of = (rng.uniform(size=300) * 23).astype(np.int64)
+    return [*(_spread(rng, n) for n in sizes if n > 0),
+            _spread(rng, (37, 29)),
+            _scatter_columns(23, col_of, _spread(rng, (300, 17))),  # a compact w_emb block
+            _spread(rng, (5, 11, 13)),  # a (K, H, H) block
+            np.asfortranarray(_spread(rng, (5, 11, 13)))]
+
+
+@pytest.mark.parametrize("leaf", [8, 64, 128, 200])
+@pytest.mark.parametrize("square", [True, False], ids=["squares", "entries"])
+def test_block_sum_has_np_sums_bits(leaf, square):
+    # leaves below numpy's own 128-element base act as 128
+    rng = np.random.default_rng(leaf)
+    blocks = _blocks(rng, leaf)
+    assert blocks[-4].flags.c_contiguous and blocks[-3].flags.f_contiguous
+    assert not blocks[-3].flags.c_contiguous and not blocks[-1].flags.c_contiguous
+    for a in blocks:
+        want = float(np.sum(a * a)) if square else float(np.sum(a))
+        got = block_sum(a, square, leaf=leaf)
+        assert type(got) is float and got == want, (a.shape, a.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["squares", "entries"])
+def test_block_sum_divides_in_place_first(square):
+    rng = np.random.default_rng(3)
+    for a in _blocks(rng, 64):
+        divided = a / 3
+        want = float(np.sum(divided * divided)) if square else float(np.sum(divided))
+        assert block_sum(a, square, divisor=3, leaf=64) == want
+        assert np.array_equal(a, divided)
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["squares", "entries"])
+def test_block_sum_of_a_strided_block_is_np_sums(square):
+    # no gradient block is strided, but one would be divided whole and
+    # summed by np.sum itself
+    rng = np.random.default_rng(4)
+    a = _spread(rng, (300, 41))[:, ::2]
+    assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+    divided = a / 7
+    want = float(np.sum(divided * divided)) if square else float(np.sum(divided))
+    assert block_sum(a, square, divisor=7, leaf=8) == want
+    assert np.array_equal(a, divided)
 
 
 def test_derived_streams_are_independent_and_stable():

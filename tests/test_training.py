@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference
 from synth import synth_corpus
 from test_gradients import CONFIGS
 import rrntn.evaluation
@@ -322,6 +323,112 @@ def test_sparse_window_matches_dense_step(name, regime):
         assert np.array_equal(sparse[block][~touched], dense[block][~touched]), block
         np.testing.assert_allclose(sparse[block][touched], dense[block][touched],
                                    rtol=1e-12, atol=0, err_msg=block)
+
+
+# ---------------------------------------------------------------------------
+# the gated update in two passes, against the one-pass reference
+
+
+def _gated_run(spec, clip_norm):
+    """A gated config and a stream of four windows of three lanes."""
+    cfg = TrainConfig.gated(seed=0, t_bptt=4, batch=3, lr0=0.5, p_drop=0.3, clip_norm=clip_norm,
+                            init=InitScheme.uniform(-0.5, 0.5))
+    split = EncodedSplit((Rng(8).uniform01(51) * spec.v).astype(np.int64),
+                         np.zeros(0, dtype=np.int64))
+    return cfg, split, init_params(spec, cfg.init, Rng(5))
+
+
+@pytest.fixture(params=["without_helper", "with_helper"])
+def helper_everywhere(request, monkeypatch, helper_pool):
+    """The helper (or None) in every chunk; the reference runs without it."""
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
+    monkeypatch.setattr(rrntn.models, "_helper", None)
+    yield helper_pool if request.param == "with_helper" else None
+    if request.param == "with_helper":
+        assert helper_pool.calls > 0
+
+
+def _reference_epoch(params, spec, cfg, split):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rrntn.models, "_helper", None)
+        return reference.gated_epoch(params, spec, cfg, split, cfg.lr0, Rng(6))
+
+
+@pytest.mark.parametrize("panel", [PANEL_BYTES, 1024], ids=["panel-default", "panel-1k"])
+@pytest.mark.parametrize("clip_norm", [1.2, None], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_two_pass_update_matches_the_one_pass_reference(monkeypatch, helper_everywhere, name,
+                                                        clip_norm, panel):
+    # four windows with dropout and carried state, some clipped; at 1 KiB
+    # panels the first pass recurses into leaves and the second updates
+    # several panels per block
+    spec = CONFIGS[name]
+    cfg, split, params = _gated_run(spec, clip_norm)
+    ref = copy.deepcopy(params)
+    ref_ppl, factors = _reference_epoch(ref, spec, cfg, split)
+    assert len(factors) == 4 and (clip_norm is None or min(factors) < 1.0)
+    monkeypatch.setattr(rrntn.training, "PANEL_BYTES", panel)
+    monkeypatch.setattr(rrntn.models, "_helper", helper_everywhere)
+    metrics = train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    assert metrics.train_ppl == ref_ppl
+    assert all(np.array_equal(params[block], ref[block]) for block in params)
+
+
+def _inject(value, block, window, seen):
+    """A backward_chunk that sets `block` of window `window`'s gradients to
+    value at its first element (NaN, inf) or everywhere (finite), and records
+    the parameters it found there."""
+    def backward(params, spec, cache, **kwargs):
+        grads, dstate = backward_chunk(params, spec, cache, **kwargs)
+        if len(seen) == window:
+            g = grads[block]
+            g[(0,) * g.ndim if np.isnan(value) or np.isinf(value) else ...] = value
+        seen.append(copy.deepcopy(params))
+        return grads, dstate
+    return backward
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("clip_norm", [1.2, None], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("where", ["middle", "w_out"])
+def test_non_finite_block_is_named_and_nothing_is_written(monkeypatch, helper_everywhere, where,
+                                                          clip_norm, value):
+    # in window 1; a clipped window scales by 0 for an inf norm, which turns
+    # the inf into NaN, and the check still names its block
+    spec = CONFIGS["r_lstm"]
+    blocks = list(param_shapes(spec))
+    block = blocks[len(blocks) // 2] if where == "middle" else where
+    cfg, split, params = _gated_run(spec, clip_norm)
+    seen = []
+    monkeypatch.setattr(rrntn.training, "backward_chunk", _inject(value, block, 1, seen))
+    monkeypatch.setattr(rrntn.models, "_helper", helper_everywhere)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore", over="ignore"):
+        train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    assert (err.value.block, err.value.window) == (block, 1)
+    assert all(np.array_equal(params[b], seen[1][b]) for b in params)
+
+
+@pytest.mark.parametrize("where", ["middle", "w_out"])
+def test_block_whose_squares_overflow_steps_as_the_one_pass_update(monkeypatch, helper_everywhere,
+                                                                   where):
+    # 1e200 everywhere in one block of window 1: the clip norm is inf, every
+    # block is scaled by 0 and the window's step is zero; the epoch goes on
+    spec = CONFIGS["r_lstm"]
+    blocks = list(param_shapes(spec))
+    block = blocks[len(blocks) // 2] if where == "middle" else where
+    cfg, split, params = _gated_run(spec, 1.2)
+    ref = copy.deepcopy(params)
+    with np.errstate(over="ignore"):
+        monkeypatch.setattr(reference, "backward_chunk", _inject(1e200, block, 1, []))
+        ref_ppl, factors = _reference_epoch(ref, spec, cfg, split)
+        assert factors[1] == 0.0
+        seen = []
+        monkeypatch.setattr(rrntn.training, "backward_chunk", _inject(1e200, block, 1, seen))
+        monkeypatch.setattr(rrntn.models, "_helper", helper_everywhere)
+        metrics = train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    assert metrics.train_ppl == ref_ppl
+    assert all(np.array_equal(params[b], ref[b]) for b in params)
+    assert all(np.array_equal(seen[1][b], seen[2][b]) for b in params)
 
 
 def test_sentence_reset_isolates_sentences(tiny):
