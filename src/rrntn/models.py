@@ -348,8 +348,8 @@ HELPER_MIN_MADDS = 1 << 28
 
 # The helper thread: one worker that runs part of a chunk's input products,
 # output layer and gradients, and of a gated window's update, beside the
-# caller (see _hand_off), or None, when its share runs on the caller. Tests
-# set it to a pool or None.
+# caller (see _split), or None, when its share runs on the caller. Tests set
+# it to a pool or None.
 _helper: ThreadPoolExecutor | None = None
 
 
@@ -390,55 +390,45 @@ def _helper_for(spec: ModelSpec, rows: int) -> ThreadPoolExecutor | None:
     return _helper if rows * spec.h * spec.v >= HELPER_MIN_MADDS else None
 
 
-def _hand_off(pool: ThreadPoolExecutor | None, calls: list[Callable]) -> Callable[..., None]:
-    """Start the zero-argument calls on pool and return their join.
+def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[Callable]) -> None:
+    """Run the zero-argument calls `theirs` on pool and `mine` here, then join.
 
-    Each call is submitted in a copy of the caller's context (numpy's error
-    state included). join() waits for all of them and raises the first
-    error; join(run=False), for a caller leaving on an error of its own,
-    only waits. Without a pool nothing starts here: join() runs the calls on
-    the caller, in order, until one raises, and join(run=False) runs none.
-    Call the join where a call's result is first read, and call it before
-    an error leaves, so that nothing of the hand-off outlives its caller.
+    Each of theirs is submitted, in a copy of the caller's context (numpy's
+    error state included), before the first of mine starts. Every call runs
+    except those of mine after one that raises. All of theirs are joined
+    before an error leaves: one of mine first, else the first of theirs.
+    Without a pool, mine then theirs run here until one raises, which is the
+    same error. The caller allocates every output a call writes, and a call
+    writes a parameter only in a gated window's update, which hands the
+    helper a whole block once every block is checked (see over_blocks); so
+    each is the same NumPy call on the same elements on either thread, and
+    the helper moves no bit.
 
-    No call may itself hand work to the pool: its one worker would then
-    wait on its own queue, and the caller on that worker, for ever.
+    No call in theirs may itself call _split: the pool's one worker would
+    then wait on its own queue, and the caller on that worker, for ever.
     """
     if pool is None:
-        def join(run: bool = True) -> None:
-            for fn in calls if run else ():
-                fn()
-        return join
-    futures = [pool.submit(contextvars.copy_context().run, fn) for fn in calls]
-
-    def join(run: bool = True) -> None:
-        wait(futures)
-        for future in futures if run else ():
-            future.result()
-    return join
-
-
-def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[Callable]) -> None:
-    """Hand `theirs` to pool (see _hand_off), run `mine` here, then join.
-
-    Every call runs except those of mine after one that raises, and, without
-    a pool, theirs after an error of mine. All of theirs that started are
-    joined before an error leaves: one of mine first, else the first of
-    theirs. Without a pool, mine then theirs run here until one raises,
-    which is the same error. The caller allocates every output a call
-    writes, and a call writes a parameter only in training's update, which
-    hands the helper whole blocks once every block is checked; so each call
-    is the same NumPy call on the same elements on either thread, and the
-    helper moves no bit.
-    """
-    join = _hand_off(pool, theirs)
+        for fn in (*mine, *theirs):
+            fn()
+        return
+    futures = [pool.submit(contextvars.copy_context().run, fn) for fn in theirs]
     try:
         for fn in mine:
             fn()
-    except BaseException:
-        join(run=False)
-        raise
-    join()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def over_blocks(spec: ModelSpec, rows: int, fn: Callable, names) -> None:
+    """fn(names) over a window's gradient blocks, by name: w_out's on the
+    helper thread where a chunk of `rows` rows takes it (see _helper_for), the
+    rest here, in one _split. w_out is the block backward_chunk's helper
+    forms, about a third of the gradient bytes at V = 10k."""
+    mine = [name for name in names if name != "w_out"]
+    theirs = [name for name in names if name == "w_out"]
+    _split(_helper_for(spec, rows), [partial(fn, mine)], [partial(fn, theirs)] if theirs else [])
 
 
 def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,
@@ -617,11 +607,11 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     ValueError. The reverse time loop carries only the recurrence;
     gradient_stage then forms the recurrence gradients.
 
-    Once the targets are subtracted, the helper thread forms w_out's
-    gradient, flat_dl^T hd, through a hand-off (see _hand_off), while the
-    caller forms b_out's, then dh_out, applies the output masks and runs the
-    reverse loop. The join comes before gradient_stage allocates, and the
-    logit gradients are freed there, so the window's peak does not grow.
+    Once the targets are subtracted, the helper thread (see _split) forms
+    w_out's gradient, flat_dl^T hd, while the caller forms b_out's, then
+    dh_out, applies the output masks and runs the reverse loop. The join
+    comes before gradient_stage allocates, and the logit gradients are freed
+    there, so the window's peak does not grow.
     """
     b, t_len = cache.inputs.shape
     backward = _CELLS[spec.family].backward
@@ -633,25 +623,23 @@ def backward_chunk(params, spec: ModelSpec, cache: ForwardCache, state_grad_in=N
     cache.probs = None
     flat_dl[np.arange(t_len * b), cache.targets.T.reshape(-1)] -= 1.0
     grads = {"w_out": np.empty(params["w_out"].shape), "b_out": np.empty(params["b_out"].shape)}
-    join = _hand_off(_helper_for(spec, t_len * b), [partial(
-        np.matmul, flat_dl.T, cache.hd.reshape(t_len * b, spec.h), out=grads["w_out"])])
-    try:
-        np.sum(flat_dl, axis=0, out=grads["b_out"])
+    dpre = [None] * t_len
+    dstate = zero_state(spec, b) if state_grad_in is None else tuple(state_grad_in)
+
+    def reverse():  # dh_out, the output masks and the reverse time loop
+        nonlocal dstate
         dh_out = (flat_dl @ params["w_out"]).reshape(t_len, b, spec.h)
         if len(cache.out_masks):
             dh_out *= cache.out_masks
-        dstate = zero_state(spec, b) if state_grad_in is None else tuple(state_grad_in)
-        dpre = [None] * t_len
         for t in reversed(range(t_len)):
-            dstate, dpre[t] = backward(params, cache.steps[t],
-                                       (dh_out[t] + dstate[0], *dstate[1:]))
+            dstate, dpre[t] = backward(params, cache.steps[t], (dh_out[t] + dstate[0], *dstate[1:]))
             if cache.resets[t]:
                 dstate = zero_state(spec, b)
-    except BaseException:
-        join(run=False)
-        raise
-    join()
-    del join, flat_dl  # the (T*B, V) logit gradients are done with
+
+    _split(_helper_for(spec, t_len * b),
+           [partial(np.sum, flat_dl, axis=0, out=grads["b_out"]), reverse],
+           [partial(np.matmul, flat_dl.T, cache.hd.reshape(t_len * b, spec.h), out=grads["w_out"])])
+    del reverse, flat_dl  # the (T*B, V) logit gradients are done with
     grads.update(gradient_stage(params, spec, cache, [np.concatenate(d) for d in zip(*dpre)]))
     if not compact:
         for name, index in word_rows(spec, cache).items():

@@ -35,11 +35,10 @@ from .models import (
     DivergenceError,
     InitScheme,
     ModelSpec,
-    _helper_for,
-    _split,
     backward_chunk,
     forward_chunk,
     init_params,
+    over_blocks,
     word_rows,
     zero_state,
 )
@@ -118,21 +117,8 @@ class EpochMetrics:
 # stay in L2 instead of streaming a whole-block temporary through memory.
 PANEL_BYTES = 256 << 10
 
-# The block whose passes the helper thread takes in a gated window: the one
-# backward_chunk's helper forms, about a third of the gradient bytes at V = 10k.
-_HELPER_BLOCK = "w_out"
-
-
-def _by_thread(pool, grads, fn) -> None:
-    """fn(names) over the blocks of grads: _HELPER_BLOCK's on pool, the rest
-    here, in one _split."""
-    mine = [name for name in grads if name != _HELPER_BLOCK]
-    theirs = [name for name in grads if name == _HELPER_BLOCK]
-    _split(pool, [partial(fn, mine)], [partial(fn, theirs)] if theirs else [])
-
-
 def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=None,
-              pool=None) -> None:
+              over=None) -> None:
     """In-place step p[idx] <- p[idx] - lr * (factor * g) for every array.
 
     rows maps a block to the index its gradient is at (see models.word_rows):
@@ -145,9 +131,10 @@ def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=Non
     finite total proves every entry finite). Each block is then scaled in
     place by factor (unless it is 1) and by lr, and subtracted, in panels of
     about PANEL_BYTES along its leading axis, p[idx[a:b]] -= g[a:b]; every
-    element gets the bits of the whole block's step. With a pool the w_out
-    block's panels run on it (models._split), after every block is checked
-    and before this returns. The step consumes grads.
+    element gets the bits of the whole block's step. over(fn, names), when
+    given, runs fn over the block names in its own split (train_epoch's is
+    models.over_blocks: w_out's panels on the helper thread), after every
+    block is checked and before this returns. The step consumes grads.
     """
     rows = rows or {}
     for name, g in grads.items():
@@ -169,20 +156,25 @@ def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=Non
                 at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
                 params[name][(at, *rest)] -= panel
 
-    _by_thread(pool, grads, update)
+    (over or _here)(update, list(grads))
 
 
-def _first_pass(grads, divisor, square: bool, pool) -> dict[str, float]:
+def _here(fn, names) -> None:
+    fn(names)
+
+
+def _first_pass(grads, divisor, square: bool, over) -> dict[str, float]:
     """Pass 1 of a window's update: each block divided in place by divisor
     (None: left as it is) and reduced to block_sum(g, square), in leaves of
-    PANEL_BYTES, the w_out block on pool. Returns the sums in block order."""
+    PANEL_BYTES, over(fn, names) splitting the blocks as in sgd_apply.
+    Returns the sums in block order."""
     sums = {}
 
     def reduce(names):
         for name in names:
             sums[name] = block_sum(grads[name], square, divisor, PANEL_BYTES // 8)
 
-    _by_thread(pool, grads, reduce)
+    over(reduce, list(grads))
     return {name: sums[name] for name in grads}
 
 
@@ -235,7 +227,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     sgd_apply, scales each panel by the clip factor and lr and subtracts it.
     A non-finite norm keeps the order of a single-pass update: every block
     is scaled in place, then checked, and the first non-finite one is named.
-    Where the window takes the helper thread (models._helper_for), it runs
+    Where the window takes the helper thread (models.over_blocks), it runs
     both passes of w_out beside the caller's blocks. An unclipped window of
     one lane has nothing to divide and keeps sgd_apply's own np.sum check.
     """
@@ -251,16 +243,16 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             rows = word_rows(spec, cache)
             grads, _ = backward_chunk(params, spec, cache, compact=True)
             del cache
-            pool = _helper_for(spec, chunk.inputs.size)
+            over = partial(over_blocks, spec, chunk.inputs.size)
             sums, factor = None, 1.0
             if cfg.batch > 1 or clipping:
-                sums = _first_pass(grads, cfg.batch if cfg.batch > 1 else None, clipping, pool)
+                sums = _first_pass(grads, cfg.batch if cfg.batch > 1 else None, clipping, over)
             if clipping and isfinite(sum(sums.values())):
                 _, factor = clip_by_global_norm(Squares(sums.values()), cfg.clip_norm)
             elif clipping:  # as before the two passes: scale, then check and name a block
                 clip_by_global_norm(grads.values(), cfg.clip_norm)
                 sums = None
-            sgd_apply(params, grads, lr, rows, factor, sums, pool)
+            sgd_apply(params, grads, lr, rows, factor, sums, over)
             del grads  # nothing of this window is held into the next one
             total_loss += loss
             total_tokens += count

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from rrntn.models import _scatter_columns
+from rrntn.training import PANEL_BYTES
 from rrntn.linalg import (
     PIECE,
     Rng,
@@ -186,6 +187,17 @@ def test_block_sum_has_np_sums_bits(leaf, square):
         want = float(np.sum(a * a)) if square else float(np.sum(a))
         got = block_sum(a, square, leaf=leaf)
         assert type(got) is float and got == want, (a.shape, a.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("square", [True, False], ids=["squares", "entries"])
+def test_block_sum_has_np_sums_bits_at_the_update_leaf(order, square):
+    # train_epoch's leaf, on a block of about nine leaves and far past numpy's
+    # 8,192-element iterator buffer, so the real tree depth runs
+    a = np.asarray(_spread(np.random.default_rng(5), (700, 431)), order=order)
+    assert a.flags.c_contiguous == (order == "C") and a.flags.f_contiguous == (order == "F")
+    want = float(np.sum(a * a)) if square else float(np.sum(a))
+    assert block_sum(a, square, leaf=PANEL_BYTES // 8) == want
 
 
 @pytest.mark.parametrize("square", [True, False], ids=["squares", "entries"])
