@@ -156,11 +156,7 @@ def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=Non
                 at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
                 params[name][(at, *rest)] -= panel
 
-    (over or _here)(update, list(grads))
-
-
-def _here(fn, names) -> None:
-    fn(names)
+    update(list(grads)) if over is None else over(update, list(grads))
 
 
 def _first_pass(grads, divisor, square: bool, over) -> dict[str, float]:
