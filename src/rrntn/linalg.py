@@ -207,9 +207,12 @@ def block_sum(a: np.ndarray, square: bool = False, divisor: float | None = None,
     its first n2 = n // 2 - (n // 2) % 8 elements and the rest. This follows
     the same splits down to nodes of at most max(leaf, 128) elements and hands
     each to np.sum, squared into one reused scratch when square, so the block
-    is read once, a leaf at a time, and no temporary its size is made. Any
-    other block is divided whole and summed by np.sum itself.
+    is read once, a leaf at a time, and no temporary its size is made. A
+    block with nothing to divide or square, and any other block, is summed
+    by np.sum itself, the latter after it is divided whole.
     """
+    if divisor is None and not square:
+        return float(np.sum(a))
     if not (a.flags.c_contiguous or a.flags.f_contiguous):
         if divisor is not None:
             a /= divisor

@@ -347,9 +347,8 @@ HELPER_MIN_MADDS = 1 << 28
 
 
 # The helper thread: one worker that runs part of a chunk's input products,
-# output layer and gradients, and of a gated window's update, beside the
-# caller (see _split), or None, when its share runs on the caller. Tests set
-# it to a pool or None.
+# output layer and gradients beside the caller (see _split), or None, when
+# its share runs on the caller. Tests set it to a pool or None.
 _helper: ThreadPoolExecutor | None = None
 
 
@@ -398,11 +397,9 @@ def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[C
     except those of mine after one that raises. All of theirs are joined
     before an error leaves: one of mine first, else the first of theirs.
     Without a pool, mine then theirs run here until one raises, which is the
-    same error. The caller allocates every output a call writes, and a call
-    writes a parameter only in a gated window's update, which hands the
-    helper a whole block once every block is checked (see over_blocks); so
-    each is the same NumPy call on the same elements on either thread, and
-    the helper moves no bit.
+    same error. The caller allocates every output a call writes, and no call
+    writes a parameter; so each is the same NumPy call on the same elements
+    on either thread, and the helper moves no bit.
 
     No call in theirs may itself call _split: the pool's one worker would
     then wait on its own queue, and the caller on that worker, for ever.
@@ -419,16 +416,6 @@ def _split(pool: ThreadPoolExecutor | None, mine: list[Callable], theirs: list[C
         wait(futures)
     for future in futures:
         future.result()
-
-
-def over_blocks(spec: ModelSpec, rows: int, fn: Callable, names) -> None:
-    """fn(names) over a window's gradient blocks, by name: w_out's on the
-    helper thread where a chunk of `rows` rows takes it (see _helper_for), the
-    rest here, in one _split. w_out is the block backward_chunk's helper
-    forms, about a third of the gradient bytes at V = 10k."""
-    mine = [name for name in names if name != "w_out"]
-    theirs = [name for name in names if name == "w_out"]
-    _split(_helper_for(spec, rows), [partial(fn, mine)], [partial(fn, theirs)] if theirs else [])
 
 
 def output_layer(params, spec: ModelSpec, hd: np.ndarray, targets: np.ndarray,

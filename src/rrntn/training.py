@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -38,7 +37,6 @@ from .models import (
     backward_chunk,
     forward_chunk,
     init_params,
-    over_blocks,
     word_rows,
     zero_state,
 )
@@ -117,61 +115,52 @@ class EpochMetrics:
 # stay in L2 instead of streaming a whole-block temporary through memory.
 PANEL_BYTES = 256 << 10
 
-def sgd_apply(params, grads, lr: float, rows=None, factor: float = 1.0, sums=None,
-              over=None) -> None:
-    """In-place step p[idx] <- p[idx] - lr * (factor * g) for every array.
+def sgd_apply(params, grads, lr: float, rows=None, batch: int = 1,
+              clip_norm: float | None = None) -> None:
+    """A window's whole step, in place, on the caller: each gradient divided
+    by batch, the set clipped to a global norm of clip_norm (None: no clip),
+    checked, and p[idx] <- p[idx] - lr * g for every block. Consumes grads.
 
     rows maps a block to the index its gradient is at (see models.word_rows):
     an int array of leading-axis rows or (slice(None), columns); a block
-    without one is updated whole. Every gradient is checked before any
-    parameter is written, so a non-finite block leaves all parameters
-    unchanged and is named in the error: the check is np.isfinite(np.sum(g)),
-    or np.isfinite(sums[name]) where sums holds each block's sum from an
-    earlier pass (train_epoch's pass 1: its entries, or its squares, whose
-    finite total proves every entry finite). Each block is then scaled in
-    place by factor (unless it is 1) and by lr, and subtracted, in panels of
-    about PANEL_BYTES along its leading axis, p[idx[a:b]] -= g[a:b]; every
-    element gets the bits of the whole block's step. over(fn, names), when
-    given, runs fn over the block names in its own split (train_epoch's is
-    models.over_blocks: w_out's panels on the helper thread), after every
-    block is checked and before this returns. The step consumes grads.
+    without one is updated whole. Pass 1 divides each block by batch in place
+    (when batch > 1) and sums its squares when clipping, else its entries,
+    with np.sum's bits (linalg.block_sum, in leaves of PANEL_BYTES). The
+    squares give clip_by_global_norm the norm (it is looked up in this module
+    at each call, so a wrapper set there reads the factor); a finite total
+    proves every entry finite. A non-finite total keeps a single-pass
+    update's order: every block is scaled in place, then summed. No
+    parameter is written before every sum is checked, and the first
+    non-finite block is named in the error. Pass 2 scales each block by the
+    factor and lr and subtracts it in panels of about PANEL_BYTES along its
+    leading axis, p[idx[a:b]] -= g[a:b]; every element gets the whole
+    block's bits.
     """
     rows = rows or {}
-    for name, g in grads.items():
-        if not np.isfinite(np.sum(g) if sums is None else sums[name]):
+    clipping = clip_norm is not None
+    sums = {name: block_sum(g, clipping, batch if batch > 1 else None, PANEL_BYTES // 8)
+            for name, g in grads.items()}
+    factor = 1.0
+    if clipping and isfinite(sum(sums.values())):
+        _, factor = clip_by_global_norm(Squares(sums.values()), clip_norm)
+    elif clipping:  # as a single-pass update: scale, then check and name a block
+        clip_by_global_norm(grads.values(), clip_norm)
+        sums = {name: block_sum(g) for name, g in grads.items()}
+    for name, total in sums.items():
+        if not isfinite(total):
             raise DivergenceError(f"non-finite gradient in {name}", block=name)
-
-    def update(names):
-        for name in names:
-            g = grads[name]
-            index = rows.get(name, slice(None))
-            lead, *rest = index if isinstance(index, tuple) else (index,)
-            step = max(1, PANEL_BYTES // g[:1].nbytes)
-            for a in range(0, len(g), step):
-                panel = g[a:a + step]
-                if factor != 1.0:
-                    np.multiply(panel, factor, out=panel)
-                np.multiply(panel, lr, out=panel)
-                # a slice lead is the whole axis, so panel a is rows a:a+step
-                at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
-                params[name][(at, *rest)] -= panel
-
-    update(list(grads)) if over is None else over(update, list(grads))
-
-
-def _first_pass(grads, divisor, square: bool, over) -> dict[str, float]:
-    """Pass 1 of a window's update: each block divided in place by divisor
-    (None: left as it is) and reduced to block_sum(g, square), in leaves of
-    PANEL_BYTES, over(fn, names) splitting the blocks as in sgd_apply.
-    Returns the sums in block order."""
-    sums = {}
-
-    def reduce(names):
-        for name in names:
-            sums[name] = block_sum(grads[name], square, divisor, PANEL_BYTES // 8)
-
-    over(reduce, list(grads))
-    return {name: sums[name] for name in grads}
+    for name, g in grads.items():
+        index = rows.get(name, slice(None))
+        lead, *rest = index if isinstance(index, tuple) else (index,)
+        step = max(1, PANEL_BYTES // g[:1].nbytes)
+        for a in range(0, len(g), step):
+            panel = g[a:a + step]
+            if factor != 1.0:
+                np.multiply(panel, factor, out=panel)
+            np.multiply(panel, lr, out=panel)
+            # a slice lead is the whole axis, so panel a is rows a:a+step
+            at = slice(a, a + step) if isinstance(lead, slice) else lead[a:a + step]
+            params[name][(at, *rest)] -= panel
 
 
 def schedule_step(prev_valid_ppl, cur_valid_ppl, lr, plateau_count, cfg: TrainConfig):
@@ -215,23 +204,13 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
     One window is held at a time: its cache goes once backward_chunk has
     read it and its gradients once the update has used them.
 
-    The update reads each block in two passes. Pass 1, in a window that
-    averages or clips, divides each block by the batch in place and reduces
-    it, a leaf at a time, to the sum of its squares when clipping, else of
-    its entries (_first_pass, with np.sum's bits); clip_by_global_norm takes
-    the squares, and their finite total proves every entry finite. Pass 2,
-    sgd_apply, scales each panel by the clip factor and lr and subtracts it.
-    A non-finite norm keeps the order of a single-pass update: every block
-    is scaled in place, then checked, and the first non-finite one is named.
-    Where the window takes the helper thread (models.over_blocks), it runs
-    both passes of w_out beside the caller's blocks. An unclipped window of
-    one lane has nothing to divide and keeps sgd_apply's own np.sum check.
+    The window's step is one sgd_apply call, on the caller: the batch mean,
+    the clip, the finiteness check and the panelled update.
     """
     t0 = time.perf_counter()
     total_loss = 0.0
     total_tokens = 0
     state = None
-    clipping = cfg.clip_norm is not None
     try:
         for window, chunk in enumerate(train_chunks(split, cfg)):
             loss, count, cache, state = forward_chunk(
@@ -239,16 +218,7 @@ def train_epoch(params, spec: ModelSpec, cfg: TrainConfig, split: EncodedSplit,
             rows = word_rows(spec, cache)
             grads, _ = backward_chunk(params, spec, cache, compact=True)
             del cache
-            over = partial(over_blocks, spec, chunk.inputs.size)
-            sums, factor = None, 1.0
-            if cfg.batch > 1 or clipping:
-                sums = _first_pass(grads, cfg.batch if cfg.batch > 1 else None, clipping, over)
-            if clipping and isfinite(sum(sums.values())):
-                _, factor = clip_by_global_norm(Squares(sums.values()), cfg.clip_norm)
-            elif clipping:  # as before the two passes: scale, then check and name a block
-                clip_by_global_norm(grads.values(), cfg.clip_norm)
-                sums = None
-            sgd_apply(params, grads, lr, rows, factor, sums, over)
+            sgd_apply(params, grads, lr, rows, cfg.batch, cfg.clip_norm)
             del grads  # nothing of this window is held into the next one
             total_loss += loss
             total_tokens += count

@@ -105,7 +105,9 @@ def _panels_plus(row_bytes: int) -> int:
     return 2 * (PANEL_BYTES // row_bytes) + 3
 
 
-def test_sgd_panels_match_literal_step():
+@pytest.mark.parametrize("batch, clip_norm", [(1, None), (3, None), (3, 1.0), (1, 1.0)],
+                         ids=["plain", "batch", "batch-clipped", "clipped"])
+def test_sgd_panels_match_literal_step(batch, clip_norm):
     # a leading-axis block, a (slice(None), cols) block and a dense block,
     # each spanning two panels plus a remainder along its leading axis
     n_slices, n_rows, n_dense = _panels_plus(8 * 9 * 7), _panels_plus(8 * 3), _panels_plus(8 * 40)
@@ -120,19 +122,28 @@ def test_sgd_panels_match_literal_step():
              "w": Rng(5).uniform01(n_dense * 40).reshape(n_dense, 40)}
     rows = {"u": slice_idx, "e": (slice(None), cols)}
     expected = copy.deepcopy(params)
-    for name, g in grads.items():
-        idx = rows.get(name, ...)
-        expected[name][idx] = params[name][idx] - 0.3 * g
-    sgd_apply(params, {name: g.copy() for name, g in grads.items()}, lr=0.3, rows=rows)
+    factor = reference.one_pass_update(expected, copy.deepcopy(grads), 0.3, rows, batch,
+                                       clip_norm)
+    assert (factor < 1.0) == (clip_norm is not None)
+    if (batch, clip_norm) == (1, None):
+        literal = copy.deepcopy(params)
+        for name, g in grads.items():
+            idx = rows.get(name, ...)
+            literal[name][idx] = params[name][idx] - 0.3 * g
+        assert all(np.array_equal(expected[name], literal[name]) for name in params)
+    sgd_apply(params, copy.deepcopy(grads), 0.3, rows, batch, clip_norm)
     assert all(np.array_equal(params[name], expected[name]) for name in params)
 
 
-def test_sgd_non_finite_after_multi_panel_block_writes_nothing():
+@pytest.mark.parametrize("clip_norm", [None, 1.0], ids=["unclipped", "clipped"])
+def test_sgd_non_finite_after_multi_panel_block_writes_nothing(clip_norm):
+    # clipped, the norm is inf: every block is scaled by 0, which turns the
+    # inf into NaN, and the check still names b
     n = _panels_plus(8 * 40)
     params = {"w": np.zeros((n, 40)), "b": np.array([1.0])}
     grads = {"w": np.ones((n, 40)), "b": np.array([np.inf])}
-    with pytest.raises(DivergenceError) as err:
-        sgd_apply(params, grads, lr=0.1)
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        sgd_apply(params, grads, lr=0.1, clip_norm=clip_norm)
     assert err.value.block == "b"
     assert not params["w"].any() and params["b"][0] == 1.0
 
@@ -372,6 +383,55 @@ def test_two_pass_update_matches_the_one_pass_reference(monkeypatch, helper_ever
     metrics = train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
     assert metrics.train_ppl == ref_ppl
     assert all(np.array_equal(params[block], ref[block]) for block in params)
+
+
+def test_update_hands_the_helper_nothing(monkeypatch, with_helper):
+    # the helper takes part in every chunk, but the step of a clipped gated
+    # window runs on the caller alone
+    spec = CONFIGS["r_lstm"]
+    cfg, split, params = _gated_run(spec, 1.2)
+    monkeypatch.setattr(rrntn.models, "HELPER_MIN_MADDS", 1)
+    step, handed = rrntn.training.sgd_apply, []
+
+    def counted(*args, **kwargs):
+        before = with_helper.calls
+        step(*args, **kwargs)
+        handed.append(with_helper.calls - before)
+
+    monkeypatch.setattr(rrntn.training, "sgd_apply", counted)
+    train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    assert handed == [0, 0, 0, 0] and with_helper.calls > 0
+
+
+def test_tracer_names_see_one_step_and_one_clip_per_window(monkeypatch):
+    # the names perfbench/tracing.py wraps: each window makes one sgd_apply
+    # call, with its gradients as the second argument, and sgd_apply makes
+    # one clip_by_global_norm call, whose factor is the reference's
+    spec = CONFIGS["r_lstm"]
+    cfg, split, params = _gated_run(spec, 1.2)
+    _, ref_factors = _reference_epoch(copy.deepcopy(params), spec, cfg, split)
+    step, clip = rrntn.training.sgd_apply, rrntn.training.clip_by_global_norm
+    calls, inside = [], []
+
+    def wrapped_step(*args, **kwargs):
+        calls.append(("sgd", sorted(args[1])))
+        inside.append(True)
+        try:
+            return step(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def wrapped_clip(*args, **kwargs):
+        out = clip(*args, **kwargs)
+        calls.append(("clip", bool(inside), out[1]))
+        return out
+
+    monkeypatch.setattr(rrntn.training, "sgd_apply", wrapped_step)
+    monkeypatch.setattr(rrntn.training, "clip_by_global_norm", wrapped_clip)
+    train_epoch(params, spec, cfg, split, lr=cfg.lr0, rng=Rng(6))
+    names = sorted(param_shapes(spec))
+    assert calls == [call for f in ref_factors for call in (("sgd", names), ("clip", True, f))]
+    assert min(ref_factors) < 1.0
 
 
 def _inject(value, block, window, seen):
